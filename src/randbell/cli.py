@@ -25,6 +25,7 @@ from .montecarlo import (
     ExperimentAborted,
     ExperimentResult,
     ScenarioConfig,
+    _SETTINGS_FROM_UNIFORMS,
     _collect_chunks,
     run_trial,
     run_experiment,
@@ -161,7 +162,7 @@ def _config_from_args(args, alpha_ratio: float) -> ScenarioConfig:
         master_seed=args.seed,
         histogram_bins=args.bins,
         eta_grid=_parse_eta_grid(args.eta_grid),
-        selection_policy={"max-i": "max-i", "min-eta": "min-eta"}[args.selection],
+        selection_policy=args.selection,
         workers=args.workers,
     )
 
@@ -226,13 +227,7 @@ def _ks_uniform_nz(nz: np.ndarray) -> float:
 
 
 def _sampler_nz(scenario: str, seed: int, n: int) -> np.ndarray:
-    u = sampling.uniform_block(seed, np.arange(n, dtype=np.uint64),
-                               sampling.DRAWS_PER_TRIAL[scenario])
-    a_dirs, _ = {
-        "rim": sampling.rim_settings_from_uniforms,
-        "rom": sampling.rom_settings_from_uniforms,
-        "rotm": sampling.rotm_settings_from_uniforms,
-    }[scenario](u)
+    a_dirs, _ = _SETTINGS_FROM_UNIFORMS[scenario](sampling.uniform_block(seed, 0, n))
     # second axis for the pair sampler, first for the rest
     column = 1 if scenario == "rom" else 0
     return a_dirs[:, column, 2]

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -212,11 +213,7 @@ def _evaluate_chunk(config: ScenarioConfig, lo: int, hi: int):
     state = config.state
     s = config.settings_per_party
     _, (const, weights, n_const, n_a, n_b) = _form_tables(s)
-    u = sampling.uniform_block(
-        config.master_seed,
-        np.arange(lo, hi, dtype=np.uint64),
-        sampling.DRAWS_PER_TRIAL[config.scenario],
-    )
+    u = sampling.uniform_block(config.master_seed, lo, hi)
     a_dirs, b_dirs = _SETTINGS_FROM_UNIFORMS[config.scenario](u)
     batch = hi - lo
 
@@ -230,7 +227,8 @@ def _evaluate_chunk(config: ScenarioConfig, lo: int, hi: int):
     pb0 = marginal_outcome0(state, b_dirs, "B")
 
     coords = np.concatenate([p00.reshape(batch, s * s), pa0, pb0], axis=1)
-    values = coords @ weights + const
+    values = coords @ weights
+    values += const
     rows = np.arange(batch)
 
     if config.selection_policy == "min-eta":
@@ -279,42 +277,44 @@ def _chunk_grid(trials: int):
 
 
 def _collect_chunks(config: ScenarioConfig, progress=None):
+    """(i_max, eta_req) of every trial, in trial order.
+
+    Chunk results are written in place, so peak memory is the two output
+    arrays plus the chunks in flight.  A trial error or a dead worker process
+    aborts the run with the count of trials completed so far.
+    """
     chunks = _chunk_grid(config.trials)
-    results: list = [None] * len(chunks)
+    i_max = np.empty(config.trials)
+    eta = np.empty(config.trials)
     started = time.perf_counter()
     done_trials = 0
-    if config.workers == 1 or len(chunks) == 1:
-        for k, (lo, hi) in enumerate(chunks):
-            try:
-                results[k] = _evaluate_chunk(config, lo, hi)
-            except NumericalConsistencyError as exc:
-                raise ExperimentAborted(str(exc), completed_trials=done_trials) from exc
-            done_trials += hi - lo
-            if progress is not None:
-                progress(done_trials, config.trials, time.perf_counter() - started)
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = {
-                pool.submit(_evaluate_chunk, config, lo, hi): k
-                for k, (lo, hi) in enumerate(chunks)
-            }
-            try:
-                for future in as_completed(futures):
-                    k = futures[future]
-                    try:
-                        results[k] = future.result()
-                    except NumericalConsistencyError as exc:
-                        raise ExperimentAborted(str(exc), completed_trials=done_trials) from exc
-                    lo, hi = chunks[k]
-                    done_trials += hi - lo
-                    if progress is not None:
-                        progress(done_trials, config.trials, time.perf_counter() - started)
-            except ExperimentAborted:
-                for future in futures:
-                    future.cancel()
-                raise
-    i_max = np.concatenate([r[0] for r in results])
-    eta = np.concatenate([r[1] for r in results])
+
+    def store(lo, hi, result):
+        nonlocal done_trials
+        i_max[lo:hi], eta[lo:hi] = result
+        done_trials += hi - lo
+        if progress is not None:
+            progress(done_trials, config.trials, time.perf_counter() - started)
+
+    try:
+        if config.workers == 1 or len(chunks) == 1:
+            for lo, hi in chunks:
+                store(lo, hi, _evaluate_chunk(config, lo, hi))
+        else:
+            with ProcessPoolExecutor(max_workers=config.workers) as pool:
+                futures = {
+                    pool.submit(_evaluate_chunk, config, lo, hi): (lo, hi)
+                    for lo, hi in chunks
+                }
+                try:
+                    for future in as_completed(futures):
+                        # pop: a finished future holds its result arrays
+                        store(*futures.pop(future), future.result())
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
+    except (NumericalConsistencyError, BrokenProcessPool) as exc:
+        raise ExperimentAborted(str(exc), completed_trials=done_trials) from exc
     return i_max, eta
 
 
@@ -327,8 +327,12 @@ def run_experiment(config: ScenarioConfig, progress=None) -> ExperimentResult:
     started = time.perf_counter()
     i_max, eta = _collect_chunks(config, progress)
     violated = i_max > 0.0
-    eta_violating = eta[violated]
     n_viol = int(violated.sum())
+    # Keep only the violating trials, and free the per-trial arrays before
+    # the copies below: otherwise they set the run's peak memory.
+    i_max_violating = i_max[violated]
+    eta_violating = eta[violated]
+    del i_max, eta, violated
 
     if n_viol and (eta_violating.min() < 0.6 or eta_violating.max() >= 1.0):
         raise NumericalConsistencyError("required efficiency outside [0.6, 1)")
@@ -343,8 +347,8 @@ def run_experiment(config: ScenarioConfig, progress=None) -> ExperimentResult:
     )
 
     grid = config.eta_grid_points()
-    eta_sorted = np.sort(eta_violating)
-    cum = np.searchsorted(eta_sorted, grid, side="right")
+    eta_violating.sort()
+    cum = np.searchsorted(eta_violating, grid, side="right")
     p_viol = cum / config.trials
     ci = np.array([wilson_interval(int(k), config.trials) for k in cum])
     curve = ViolationCurve(
@@ -354,7 +358,7 @@ def run_experiment(config: ScenarioConfig, progress=None) -> ExperimentResult:
     named_p = {}
     named_ci = {}
     for point in NAMED_ETAS:
-        k = int(np.searchsorted(eta_sorted, point, side="right"))
+        k = int(np.searchsorted(eta_violating, point, side="right"))
         named_p[f"{point:g}"] = k / config.trials
         lo_ci, hi_ci = wilson_interval(k, config.trials)
         named_ci[f"{point:g}"] = [lo_ci, hi_ci]
@@ -373,13 +377,13 @@ def run_experiment(config: ScenarioConfig, progress=None) -> ExperimentResult:
         "wilson_ci_95": named_ci,
         "i_max_given_violation": (
             {
-                "mean": float(i_max[violated].mean()),
-                "median": float(np.median(i_max[violated])),
+                "mean": float(i_max_violating.mean()),
+                "median": float(np.median(i_max_violating, overwrite_input=True)),
             }
             if n_viol
             else None
         ),
-        "min_eta_req": float(eta_sorted[0]) if n_viol else None,
+        "min_eta_req": float(eta_violating[0]) if n_viol else None,
         "wall_time_s": time.perf_counter() - started,
     }
     return ExperimentResult(config=config, histogram=histogram, curve=curve, summary=summary)

@@ -11,8 +11,7 @@ Probabilities follow the Born rule p = tr(rho (M_A x M_B)).
 Two evaluation routes are provided and cross-checked in the test suite:
 
 * exact route: explicit 4x4 operators, `joint_probability` and
-  `marginal_probability` (amplitude inner product for V = 1, density-operator
-  trace otherwise);
+  `marginal_probability`, each the density-operator trace tr(rho M);
 * closed-form route: `joint_outcome00` / `marginal_outcome0`, which evaluate
   the same Born-rule values directly from Bloch coordinates and broadcast
   over direction arrays.  This is the hot path of the Monte Carlo kernel.
@@ -180,26 +179,8 @@ def _check_probability(value: complex, atol: float) -> float:
 
 def joint_probability(state: NoisyState, m_a: Projector, m_b: Projector,
                       atol: float = DEFAULT_ATOL) -> float:
-    """Born-rule joint probability tr(rho (m_a x m_b)).
-
-    For visibility 1 this reduces to the amplitude inner product over the
-    central 2x2 block of the tensor operator (the state has no |00> or |11>
-    component), which is the dominant code path.
-    """
-    if state.visibility == 1.0:
-        a = state.pure.alpha
-        b = state.pure.beta
-        ma = m_a.m
-        mb = m_b.m
-        value = (
-            a * a * ma[0, 0] * mb[1, 1]
-            + a * b * ma[0, 1] * mb[1, 0]
-            + b * a * ma[1, 0] * mb[0, 1]
-            + b * b * ma[1, 1] * mb[0, 0]
-        )
-    else:
-        op = np.kron(m_a.m, m_b.m)
-        value = np.trace(state.density_matrix @ op)
+    """Born-rule joint probability tr(rho (m_a x m_b))."""
+    value = np.trace(state.density_matrix @ np.kron(m_a.m, m_b.m))
     return _check_probability(complex(value), atol)
 
 
@@ -208,17 +189,8 @@ def marginal_probability(state: NoisyState, m: Projector, party: str,
     """Single-party outcome probability, tr(rho (m x I)) or tr(rho (I x m))."""
     if party not in ("A", "B"):
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    if state.visibility == 1.0:
-        a2 = state.pure.alpha ** 2
-        b2 = state.pure.beta ** 2
-        mm = m.m
-        if party == "A":
-            value = a2 * mm[0, 0] + b2 * mm[1, 1]
-        else:
-            value = a2 * mm[1, 1] + b2 * mm[0, 0]
-    else:
-        op = np.kron(m.m, _IDENTITY2) if party == "A" else np.kron(_IDENTITY2, m.m)
-        value = np.trace(state.density_matrix @ op)
+    op = np.kron(m.m, _IDENTITY2) if party == "A" else np.kron(_IDENTITY2, m.m)
+    value = np.trace(state.density_matrix @ op)
     return _check_probability(complex(value), atol)
 
 

@@ -1,11 +1,13 @@
 """Seedable generation of random measurement directions.
 
-Every trial owns an independent random stream addressed by
-(master seed, trial index) through a counter-based Philox4x32-10 generator,
-so trial i's settings never depend on how many numbers any other trial
-consumed.  The same keyed-counter kernel backs both the scalar
-`RandomSource` API and the batched `uniform_block` used by the Monte Carlo
-hot loop, which makes the two bit-identical by construction.
+Every trial owns eight uniform doubles addressed by (master seed, trial
+index) through numpy's counter-based Philox4x64-10 generator (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11): the master seed is
+the key, and trial i reads counter blocks 2i+1 and 2i+2.  Trial i's settings
+therefore never depend on how many numbers any other trial consumed.  The
+batched `uniform_block` used by the Monte Carlo hot loop and the scalar
+`RandomSource` API read the same stream, so the two are bit-identical by
+construction.
 
 Uniform points on the sphere use the standard area-preserving map
 (n_z uniform on [-1, 1], azimuth uniform); orthogonal pairs draw the second
@@ -34,88 +36,32 @@ __all__ = [
     "rim_settings_from_uniforms",
     "rom_settings_from_uniforms",
     "rotm_settings_from_uniforms",
-    "DRAWS_PER_TRIAL",
 ]
 
-# Philox4x32-10 constants (Salmon et al., SC'11).
-_M0 = np.uint64(0xD2511F53)
-_M1 = np.uint64(0xCD9E8D57)
-_W0 = 0x9E3779B9
-_W1 = 0xBB67AE85
-_MASK32 = np.uint64(0xFFFFFFFF)
-_SH32 = np.uint64(32)
+# Uniform draws owned by one trial: two Philox4x64 blocks of 4 words each.
+_DRAWS = 8
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# Uniform draws consumed by one trial of each scenario.
-DRAWS_PER_TRIAL = {"rim": 8, "rom": 6, "rotm": 8}
 
+def uniform_block(master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """Uniform [0, 1) draws of trials [lo, hi), shape (hi - lo, 8).
 
-def _philox_rounds(c0, c1, c2, c3, key0: int, key1: int):
-    """Ten Philox4x32 rounds over uint64 arrays holding 32-bit words."""
-    for r in range(10):
-        k0 = np.uint64((key0 + r * _W0) & 0xFFFFFFFF)
-        k1 = np.uint64((key1 + r * _W1) & 0xFFFFFFFF)
-        p0 = _M0 * c0
-        p1 = _M1 * c2
-        # c0 and c2 are consumed by the products; reuse their buffers.
-        np.right_shift(p1, _SH32, out=c0)
-        np.bitwise_xor(c0, c1, out=c0)
-        np.bitwise_xor(c0, k0, out=c0)
-        np.bitwise_and(p1, _MASK32, out=c1)
-        np.right_shift(p0, _SH32, out=c2)
-        np.bitwise_xor(c2, c3, out=c2)
-        np.bitwise_xor(c2, k1, out=c2)
-        np.bitwise_and(p0, _MASK32, out=c3)
-    return c0, c1, c2, c3
-
-
-def _philox_raw(key0: int, key1: int, trial_lo, trial_hi, block):
-    """Raw 4x32 output words for (key, trial, block) counter arrays."""
-    shape = np.broadcast_shapes(np.shape(trial_lo), np.shape(block))
-    c0 = np.broadcast_to(block, shape).astype(np.uint64)
-    c1 = np.broadcast_to(trial_lo, shape).astype(np.uint64)
-    c2 = np.broadcast_to(trial_hi, shape).astype(np.uint64)
-    c3 = np.zeros(shape, dtype=np.uint64)
-    return _philox_rounds(c0, c1, c2, c3, key0, key1)
-
-
-def _blocks_to_doubles(x0, x1, x2, x3):
-    """Two doubles in [0, 1) per 128-bit block (53 mantissa bits each)."""
-    sh21 = np.uint64(21)
-    sh11 = np.uint64(11)
-    scale = 2.0 ** -53
-    u0 = ((x0 << sh21) | (x1 >> sh11)) * scale
-    u1 = ((x2 << sh21) | (x3 >> sh11)) * scale
-    return u0, u1
-
-
-def uniform_block(master_seed: int, trial_indices: np.ndarray, ndraws: int) -> np.ndarray:
-    """Uniform [0, 1) draws for a batch of trials, shape (len(trials), ndraws).
-
-    Row i is exactly the stream RandomSource(master_seed, trial_indices[i])
-    would produce.
+    Row i is exactly the stream RandomSource(master_seed, lo + i) draws from.
     """
-    trials = np.asarray(trial_indices, dtype=np.uint64)
-    key0 = master_seed & 0xFFFFFFFF
-    key1 = (master_seed >> 32) & 0xFFFFFFFF
-    nblocks = (ndraws + 1) // 2
-    block = np.arange(nblocks, dtype=np.uint64)
-    x = _philox_raw(key0, key1,
-                    (trials & _MASK32)[:, None],
-                    (trials >> _SH32)[:, None],
-                    block[None, :])
-    u0, u1 = _blocks_to_doubles(*x)
-    out = np.stack([u0, u1], axis=-1).reshape(len(trials), 2 * nblocks)
-    return out[:, :ndraws]
+    # np.random is reached here rather than at import: processes that never
+    # draw (the pool parent) stay smaller and start faster.
+    bits = np.random.Philox(key=master_seed & _MASK64, counter=2 * lo)
+    return np.random.Generator(bits).random(_DRAWS * (hi - lo)).reshape(hi - lo, _DRAWS)
 
 
 @dataclass
 class RandomSource:
     """Per-trial random stream, a pure function of (master seed, trial index).
 
-    Distinct trial indices occupy disjoint counter blocks of the keyed
-    Philox4x32-10 generator and are therefore statistically independent.
-    Instances are single-owner: each trial constructs its own.
+    The stream is the trial's row of `uniform_block`: eight doubles from its
+    own pair of counter blocks of the keyed Philox4x64-10 generator, so
+    distinct trials are statistically independent.  Instances are
+    single-owner: each trial constructs its own.
     """
 
     master_seed: int
@@ -130,20 +76,12 @@ class RandomSource:
         """Next n uniform doubles in [0, 1) from this trial's stream."""
         if n < 0:
             raise ValueError("draw count must be non-negative")
-        lo_block = self._position // 2
-        hi_block = (self._position + n + 1) // 2
-        key0 = self.master_seed & 0xFFFFFFFF
-        key1 = (self.master_seed >> 32) & 0xFFFFFFFF
-        block = np.arange(lo_block, hi_block, dtype=np.uint64)
-        x = _philox_raw(key0, key1,
-                        np.uint64(self.trial_index & 0xFFFFFFFF),
-                        np.uint64(self.trial_index >> 32),
-                        block)
-        u0, u1 = _blocks_to_doubles(*x)
-        lane = np.stack([u0, u1], axis=-1).ravel()
-        start = self._position - 2 * lo_block
-        self._position += n
-        return lane[start:start + n]
+        end = self._position + n
+        if end > _DRAWS:
+            raise ValueError(f"a trial's stream holds {_DRAWS} draws, {end} requested")
+        row = uniform_block(self.master_seed, self.trial_index, self.trial_index + 1)[0]
+        start, self._position = self._position, end
+        return row[start:end]
 
 
 @dataclass(frozen=True)
@@ -253,8 +191,9 @@ def rim_settings_from_uniforms(u: np.ndarray):
 
 
 def rom_settings_from_uniforms(u: np.ndarray):
-    """u: (B, 6) as (uA, vA, psiA, uB, vB, psiB) -> (B, 2, 3) per party,
-    second axis uniform on the circle perpendicular to the first."""
+    """u: (B, 8) as (uA, vA, psiA, uB, vB, psiB, unused, unused) ->
+    (B, 2, 3) per party, second axis uniform on the circle perpendicular to
+    the first."""
     out = []
     for k in (0, 3):
         d1 = direction_from_angles(u[:, k], u[:, k + 1])

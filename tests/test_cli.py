@@ -1,10 +1,12 @@
 """Command-line interface checks: file emission, determinism, exit codes."""
 
+import functools
 import json
 import os
 import subprocess
 import sys
 
+import randbell.montecarlo as mc
 from randbell.cli import main
 
 
@@ -87,6 +89,21 @@ class TestRun:
 
     def test_bad_eta_grid(self, capsys):
         assert _run(BASE + ["--eta-grid", "0.6-1.0-0.1"]) == 1
+
+    def test_crashed_worker_exits_2(self, tmp_path, monkeypatch):
+        original = mc._evaluate_chunk
+
+        # wraps keeps the name, so the pool pickles the patched function
+        @functools.wraps(original)
+        def crashing(config, lo, hi):
+            if lo > 0:
+                os._exit(1)
+            return original(config, lo, hi)
+
+        monkeypatch.setattr(mc, "_evaluate_chunk", crashing)
+        code = _run(["run", "--scenario", "rim", "--trials", str(2 * mc.CHUNK_TRIALS),
+                     "--workers", "2", "--out-dir", str(tmp_path)])
+        assert code == 2
 
 
 class TestSweep:
