@@ -5,8 +5,8 @@ Real numbers in CSV files carry 17 significant digits so outputs are
 byte-identical across runs and platforms, and every output file embeds the
 full run configuration.
 
-Exit codes: 0 success, 1 invalid arguments, 2 numerical-consistency or
-verification failure, 3 I/O failure.
+Exit codes: 0 success, 1 invalid arguments, 2 numerical or verification
+failure, or an aborted run, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -133,6 +133,15 @@ def _progress_printer():
     return report
 
 
+def _default_workers() -> int:
+    """CPUs this process may run on, which under taskset or a cpuset is
+    fewer than `os.cpu_count()`."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not available on every platform
+        return os.cpu_count() or 1
+
+
 def _parse_ratios(text: str) -> list[tuple[str, float]]:
     tokens = [tok.strip() for tok in text.split(",")]
     out = []
@@ -233,6 +242,19 @@ def _sampler_nz(scenario: str, seed: int, n: int) -> np.ndarray:
     return a_dirs[:, column, 2]
 
 
+def _exact_settings(scenario: str, seed: int, trial: int):
+    """A trial's directions for each party from the scalar samplers."""
+    rng = sampling.RandomSource(seed, trial)
+    if scenario == "rim":
+        a_dirs = tuple(sampling.sample_direction(rng) for _ in range(2))
+        b_dirs = tuple(sampling.sample_direction(rng) for _ in range(2))
+    else:
+        a = sampling.sample_orthogonal_triad(rng)
+        b = sampling.sample_orthogonal_triad(rng)
+        a_dirs, b_dirs = (a.d1, a.d2, a.d3), (b.d1, b.d2, b.d3)
+    return a_dirs, b_dirs
+
+
 def cmd_verify(args) -> int:
     ok = True
     settings = args.settings
@@ -278,22 +300,20 @@ def cmd_verify(args) -> int:
         ok &= _check(f"sampler uniformity ({scenario})", ks <= 0.005,
                      f"KS distance of n_z = {ks:.5f} (limit 0.005)")
 
-    # Exact-route cross-check and threshold consistency on violating trials.
-    config = ScenarioConfig(scenario="rim", alpha_ratio=1.0, trials=1,
-                            master_seed=args.seed)
+    # Exact-route cross-check and threshold consistency on violating trials,
+    # through the kernel for this many settings: RIM for 2, ROTM for 3.
+    config = ScenarioConfig(scenario="rim" if settings == 2 else "rotm",
+                            alpha_ratio=1.0, trials=1, master_seed=args.seed)
     checked = 0
     max_di = 0.0
     max_de = 0.0
     sign_ok = True
     trial = 0
-    forms2 = chsh.enumerate_forms(2)
     while checked < 500 and trial < 20_000:
         outcome = run_trial(config, trial)
-        rng = sampling.RandomSource(config.master_seed, trial)
-        a_dirs = tuple(sampling.sample_direction(rng) for _ in range(2))
-        b_dirs = tuple(sampling.sample_direction(rng) for _ in range(2))
-        table = chsh.build_probability_table(config.state, a_dirs, b_dirs)
-        record = chsh.max_violation(table, forms2)
+        table = chsh.build_probability_table(
+            config.state, *_exact_settings(config.scenario, config.master_seed, trial))
+        record = chsh.max_violation(table, forms)
         max_di = max(max_di, abs(record.i_value - outcome.i_max))
         if outcome.violated:
             checked += 1
@@ -351,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta-grid", default="0.60:1.00:0.001",
                        help="curve grid as START:STOP:STEP")
         p.add_argument("--selection", choices=["max-i", "min-eta"], default="max-i")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--workers", type=int, default=_default_workers())
         p.add_argument("--out-dir", default="./results")
         p.add_argument("--format", choices=["csv", "json", "both"], default="both")
 
@@ -366,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p = sub.add_parser("verify", help="run the oracle self-checks")
     verify_p.add_argument("--settings", type=int, choices=[2, 3], default=2)
     verify_p.add_argument("--seed", type=int, default=0)
-    verify_p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    verify_p.add_argument("--workers", type=int, default=_default_workers())
     verify_p.set_defaults(func=cmd_verify)
 
     return parser
@@ -384,7 +404,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (NumericalConsistencyError, ExperimentAborted) as exc:
+    except ExperimentAborted as exc:
+        print(f"aborted after {exc.completed_trials} of {exc.trials} trials: {exc}",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
+    except NumericalConsistencyError as exc:
         print(f"numerical-consistency failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -11,10 +11,12 @@ worker count.
 
 The per-trial evaluation is vectorized: settings for a whole chunk are drawn
 from the counter-based generator in one shot, probabilities come from the
-closed-form Bloch route, and all forms are evaluated as one coefficient
-matrix product.  The exact operator route in `quantum`/`chsh` computes the
-same numbers one trial at a time and serves as the independent cross-check
-(see tests and the CLI verify command).
+closed-form Bloch route, and each form's value is streamed as a signed sum
+of probability rows (every coefficient is -1, 0 or +1) into a running
+winner, so no per-form matrix is built and no BLAS call is made.  The
+exact operator route in `quantum`/`chsh` computes the same numbers one
+trial at a time and serves as the independent cross-check (see tests and
+the CLI verify command).
 """
 
 from __future__ import annotations
@@ -65,10 +67,11 @@ _WILSON_Z = 1.959963984540054  # 97.5th normal percentile
 class ExperimentAborted(RuntimeError):
     """A trial error aborted the experiment; carries partial progress."""
 
-    def __init__(self, message: str, completed_trials: int):
+    def __init__(self, message: str, completed_trials: int, trials: int):
         super().__init__(message)
         self.partial = True
         self.completed_trials = completed_trials
+        self.trials = trials
 
 
 @dataclass(frozen=True)
@@ -196,8 +199,24 @@ def wilson_interval(successes: int, total: int, z: float = _WILSON_Z):
 
 @lru_cache(maxsize=None)
 def _form_tables(settings_per_party: int):
-    forms = chsh.enumerate_forms(settings_per_party)
-    return forms, chsh.form_coefficients(forms, settings_per_party)
+    """Per form, the constant and the signed coordinate terms of I and of N.
+
+    A term is (np.add or np.subtract, coordinate row), in coordinate order;
+    every coefficient of `chsh.form_coefficients` is -1, 0 or +1.  The
+    marginal coefficients n_a and n_b are returned as well, for N of the
+    winning form.
+    """
+    s = settings_per_party
+    const, weights, n_const, n_a, n_b = chsh.form_coefficients(chsh.enumerate_forms(s), s)
+    n_weights = np.concatenate([np.zeros((len(const), s * s)), n_a, n_b], axis=1).T
+
+    def terms(column):
+        return tuple((np.add if c > 0 else np.subtract, row)
+                     for row, c in enumerate(column) if c)
+
+    i_terms = tuple(terms(column) for column in weights.T)
+    n_terms = tuple(terms(column) for column in n_weights.T)
+    return const, i_terms, n_const, n_terms, n_a, n_b
 
 
 _SETTINGS_FROM_UNIFORMS = {
@@ -207,49 +226,89 @@ _SETTINGS_FROM_UNIFORMS = {
 }
 
 
+def _signed_sum(out, start, coords, terms):
+    """out = start, then each term's coordinate row added or subtracted in turn."""
+    out.fill(start)
+    for op, row in terms:
+        op(out, coords[row], out=out)
+
+
 def _evaluate_chunk(config: ScenarioConfig, lo: int, hi: int):
     """Evaluate trials [lo, hi); returns (i_max, eta_req) arrays, eta NaN
     when the trial is not violated."""
     state = config.state
     s = config.settings_per_party
-    _, (const, weights, n_const, n_a, n_b) = _form_tables(s)
     u = sampling.uniform_block(config.master_seed, lo, hi)
     a_dirs, b_dirs = _SETTINGS_FROM_UNIFORMS[config.scenario](u)
-    batch = hi - lo
 
     from .quantum import joint_outcome00, marginal_outcome0
 
-    p00 = np.empty((batch, s, s))
+    # One contiguous row per coordinate: p00 for each (x, y), pA0, pB0.
+    coords = np.empty((s * s + 2 * s, hi - lo))
     for x in range(s):
         for y in range(s):
-            p00[:, x, y] = joint_outcome00(state, a_dirs[:, x], b_dirs[:, y])
-    pa0 = marginal_outcome0(state, a_dirs, "A")
-    pb0 = marginal_outcome0(state, b_dirs, "B")
+            coords[x * s + y] = joint_outcome00(state, a_dirs[:, x], b_dirs[:, y])
+    coords[s * s:s * s + s] = marginal_outcome0(state, a_dirs, "A").T
+    coords[s * s + s:] = marginal_outcome0(state, b_dirs, "B").T
+    finite = np.isfinite(coords).all(axis=0)
+    if not finite.all():
+        bad = lo + int(np.flatnonzero(~finite)[0])
+        raise NumericalConsistencyError(f"non-finite probability at trial {bad}")
+    return _forms_winner(coords, s, config.selection_policy)
 
-    coords = np.concatenate([p00.reshape(batch, s * s), pa0, pb0], axis=1)
-    values = coords @ weights
-    values += const
-    rows = np.arange(batch)
 
-    if config.selection_policy == "min-eta":
-        n_all = n_const + pa0 @ n_a.T + pb0 @ n_b.T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            eta_all = np.where(values > 0.0, n_all / (values + n_all), np.inf)
-        any_viol = (values > 0.0).any(axis=1)
-        winner = np.where(any_viol, np.argmin(eta_all, axis=1), np.argmax(values, axis=1))
+def _forms_winner(coords, settings_per_party: int, policy: str):
+    """(i_max, eta_req) of each trial (column) of the coordinate rows.
+
+    Forms are taken in index order and a winner is replaced only on a strict
+    improvement, so ties go to the lowest index.
+    """
+    s = settings_per_party
+    const, i_terms, n_const, n_terms, n_a, n_b = _form_tables(s)
+    batch = coords.shape[1]
+    min_eta = policy == "min-eta"
+    value = np.empty(batch)
+    better = np.empty(batch, dtype=bool)
+    i_best = np.full(batch, -np.inf)
+    winner = np.zeros(batch, dtype=np.intp)
+    if min_eta:
+        n_value = np.empty(batch)
+        denom = np.empty(batch)
+        eta_f = np.empty(batch)
+        eta_best = np.full(batch, np.inf)
+        eta_winner = np.zeros(batch, dtype=np.intp)
+        eta_i = np.empty(batch)
+    for f, terms in enumerate(i_terms):
+        _signed_sum(value, 0.0, coords, terms)
+        value += const[f]
+        np.greater(value, i_best, out=better)
+        np.copyto(i_best, value, where=better)
+        np.copyto(winner, f, where=better)
+        if min_eta:
+            _signed_sum(n_value, n_const[f], coords, n_terms[f])
+            eta_f.fill(np.inf)
+            np.greater(value, 0.0, out=better)
+            np.add(value, n_value, out=denom)
+            np.divide(n_value, denom, out=eta_f, where=better)
+            np.less(eta_f, eta_best, out=better)
+            np.copyto(eta_best, eta_f, where=better)
+            np.copyto(eta_winner, f, where=better)
+            np.copyto(eta_i, value, where=better)
+
+    violated = i_best > 0.0
+    if min_eta:
+        # a trial with no violating form keeps its max-i winner
+        winner = np.where(violated, eta_winner, winner)
+        i_max = np.where(violated, eta_i, i_best)
     else:
-        winner = np.argmax(values, axis=1)
-
-    i_max = values[rows, winner]
-    if not np.all(np.isfinite(i_max)):
-        bad = lo + int(np.flatnonzero(~np.isfinite(i_max))[0])
-        raise NumericalConsistencyError(f"non-finite inequality value at trial {bad}")
+        i_max = i_best
+    pa0 = coords[s * s:s * s + s].T
+    pb0 = coords[s * s + s:].T
     n_win = (
         n_const[winner]
         + np.einsum("bx,bx->b", pa0, n_a[winner])
         + np.einsum("bx,bx->b", pb0, n_b[winner])
     )
-    violated = i_max > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = np.where(violated, n_win / (i_max + n_win), np.nan)
     return i_max, eta
@@ -314,7 +373,8 @@ def _collect_chunks(config: ScenarioConfig, progress=None):
                     pool.shutdown(cancel_futures=True)
                     raise
     except (NumericalConsistencyError, BrokenProcessPool) as exc:
-        raise ExperimentAborted(str(exc), completed_trials=done_trials) from exc
+        raise ExperimentAborted(str(exc), completed_trials=done_trials,
+                                trials=config.trials) from exc
     return i_max, eta
 
 
@@ -407,5 +467,6 @@ def sweep(configs: list[ScenarioConfig], progress=None) -> list[SweepEntry]:
         except Exception as exc:  # noqa: BLE001 - isolation is the contract
             entries.append(SweepEntry(config=effective, error=str(exc)))
     if all(entry.result is None for entry in entries):
-        raise ExperimentAborted("every sweep config failed", completed_trials=0)
+        raise ExperimentAborted("every sweep config failed", completed_trials=0,
+                                trials=sum(config.trials for config in configs))
     return entries

@@ -3,11 +3,14 @@
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 
+import pytest
+
 import randbell.montecarlo as mc
-from randbell.cli import main
+from randbell.cli import build_parser, main
 
 
 def _run(args):
@@ -90,7 +93,7 @@ class TestRun:
     def test_bad_eta_grid(self, capsys):
         assert _run(BASE + ["--eta-grid", "0.6-1.0-0.1"]) == 1
 
-    def test_crashed_worker_exits_2(self, tmp_path, monkeypatch):
+    def test_crashed_worker_exits_2(self, tmp_path, monkeypatch, capsys):
         original = mc._evaluate_chunk
 
         # wraps keeps the name, so the pool pickles the patched function
@@ -104,6 +107,16 @@ class TestRun:
         code = _run(["run", "--scenario", "rim", "--trials", str(2 * mc.CHUNK_TRIALS),
                      "--workers", "2", "--out-dir", str(tmp_path)])
         assert code == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"aborted after \d+ of {2 * mc.CHUNK_TRIALS} trials: A process "
+                         "in the process pool was terminated abruptly", err), err
+
+    @pytest.mark.parametrize("command", [["run", "--scenario", "rim"],
+                                         ["sweep", "--scenario", "rim"],
+                                         ["verify"]])
+    def test_workers_default_to_usable_cpus(self, monkeypatch, command):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert build_parser().parse_args(command).workers == 1
 
 
 class TestSweep:
@@ -157,6 +170,10 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert "72 distinct forms" in out
+        lines = out.splitlines()
+        for check in ("kernel vs exact route", "threshold sign flip"):
+            line = next(line for line in lines if line.startswith(check + ":"))
+            assert line.endswith("PASS"), line
 
 
 class TestEntryPoint:

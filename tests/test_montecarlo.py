@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import randbell.montecarlo as mc
+import randbell.quantum as quantum
 from randbell import (
     NumericalConsistencyError,
     ScenarioConfig,
@@ -16,12 +17,14 @@ from randbell import (
     sweep,
     wilson_interval,
 )
+from randbell.chsh import form_coefficients
 from randbell.montecarlo import ExperimentAborted, _evaluate_chunk
 from randbell.sampling import (
     RandomSource,
     sample_direction,
     sample_orthogonal_pair,
     sample_orthogonal_triad,
+    uniform_block,
 )
 
 
@@ -42,6 +45,49 @@ def _exact_trial(config, trial_index):
     table = build_probability_table(config.state, a_dirs, b_dirs)
     forms = enumerate_forms(config.settings_per_party)
     return max_violation(table, forms, policy=config.selection_policy)
+
+
+def _dense_winner(coords, s, policy):
+    """(i_max, eta_req) from every form's value at once: coords @ weights +
+    const, then the argmax, or for min-eta the argmin of eta_req over the
+    violating forms.  coords holds one trial per row."""
+    const, weights, n_const, n_a, n_b = form_coefficients(enumerate_forms(s), s)
+    pa0, pb0 = coords[:, s * s:s * s + s], coords[:, s * s + s:]
+    values = coords @ weights + const
+    n_all = n_const + pa0 @ n_a.T + pb0 @ n_b.T
+    winner = np.argmax(values, axis=1)
+    if policy == "min-eta":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            eta_all = np.where(values > 0.0, n_all / (values + n_all), np.inf)
+        winner = np.where((values > 0.0).any(axis=1), np.argmin(eta_all, axis=1), winner)
+    rows = np.arange(len(coords))
+    i_max = values[rows, winner]
+    n_win = n_all[rows, winner]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = np.where(i_max > 0.0, n_win / (i_max + n_win), np.nan)
+    return i_max, eta
+
+
+def _dense_chunk(config, lo, hi):
+    """_dense_winner on the probabilities of trials [lo, hi)."""
+    s = config.settings_per_party
+    u = uniform_block(config.master_seed, lo, hi)
+    a_dirs, b_dirs = mc._SETTINGS_FROM_UNIFORMS[config.scenario](u)
+    state = config.state
+    p00 = [quantum.joint_outcome00(state, a_dirs[:, x], b_dirs[:, y])
+           for x in range(s) for y in range(s)]
+    pa0 = quantum.marginal_outcome0(state, a_dirs, "A")
+    pb0 = quantum.marginal_outcome0(state, b_dirs, "B")
+    return _dense_winner(np.column_stack([*p00, pa0, pb0]), s, config.selection_policy)
+
+
+# Probability coordinates (p00 for each (x, y), pA0, pB0), in eighths, on
+# which violating forms tie exactly: on the max I but not on N, or on the
+# min eta_req but not on I.  Not quantum tables; the form stage needs none.
+_TIED_TABLES = {
+    2: [[4, 5, 6, 7, 1, 5, 7, 2], [4, 0, 1, 7, 5, 2, 5, 6]],
+    3: [[5, 6, 0, 5, 2, 3, 7, 7, 0, 4, 0, 5, 7, 4, 2]],
+}
 
 
 class TestScenarioConfig:
@@ -105,15 +151,27 @@ class TestRunTrial:
             if fast.violated:
                 assert abs(fast.eta_req - exact.eta_req) < 1e-10
 
-    def test_kernel_matches_exact_route_min_eta(self):
-        config = ScenarioConfig(scenario="rim", alpha_ratio=0.6, trials=150,
+    @pytest.mark.parametrize("scenario,n", [("rim", 150), ("rom", 150), ("rotm", 50)])
+    def test_kernel_matches_exact_route_min_eta(self, scenario, n):
+        config = ScenarioConfig(scenario=scenario, alpha_ratio=0.6, trials=n,
                                 master_seed=23, selection_policy="min-eta")
-        for i in range(150):
+        for i in range(n):
             fast = run_trial(config, i)
             exact = _exact_trial(config, i)
             assert abs(fast.i_max - exact.i_value) < 1e-12
             if fast.violated:
                 assert abs(fast.eta_req - exact.eta_req) < 1e-10
+
+    @pytest.mark.parametrize("scenario", ["rim", "rom", "rotm"])
+    @pytest.mark.parametrize("policy", ["max-i", "min-eta"])
+    def test_single_trial_equals_its_chunk_row(self, scenario, policy):
+        config = ScenarioConfig(scenario=scenario, alpha_ratio=0.5, visibility=0.95,
+                                master_seed=7, selection_policy=policy)
+        i_max, eta = _evaluate_chunk(config, 0, 40)
+        for i in range(40):
+            outcome = run_trial(config, i)
+            assert outcome.i_max == i_max[i]
+            assert outcome.eta_req == (eta[i] if outcome.violated else None)
 
     def test_negative_index(self):
         with pytest.raises(ValueError):
@@ -166,6 +224,47 @@ class TestRunExperiment:
         # loose 6-sigma band around the known random-isotropic value
         p = small_run.curve.p_viol[-1]
         assert abs(p - 0.2835) < 6 * np.sqrt(0.2835 * 0.7165 / 40_000)
+
+
+class TestChunkKernel:
+    @pytest.mark.parametrize("scenario", ["rim", "rom", "rotm"])
+    @pytest.mark.parametrize("policy", ["max-i", "min-eta"])
+    @pytest.mark.parametrize("visibility", [0.9, 0.0])
+    def test_equals_dense_reference(self, scenario, policy, visibility):
+        # Exact: every coefficient is -1, 0 or +1 and both sides add the
+        # rows in coordinate order.  At visibility 0 every form ties.
+        config = ScenarioConfig(scenario=scenario, alpha_ratio=0.6, visibility=visibility,
+                                master_seed=31, selection_policy=policy)
+        for lo, hi in ((0, 4096), (70_000, 70_500)):
+            i_max, eta = _evaluate_chunk(config, lo, hi)
+            ref_i, ref_eta = _dense_chunk(config, lo, hi)
+            np.testing.assert_array_equal(i_max, ref_i)
+            np.testing.assert_array_equal(eta, ref_eta)
+
+    @pytest.mark.parametrize("s", [2, 3])
+    @pytest.mark.parametrize("policy", ["max-i", "min-eta"])
+    def test_exact_ties_go_to_the_lowest_form(self, s, policy):
+        coords = np.array(_TIED_TABLES[s], dtype=float) / 8
+        i_max, eta = mc._forms_winner(np.ascontiguousarray(coords.T), s, policy)
+        ref_i, ref_eta = _dense_winner(coords, s, policy)
+        np.testing.assert_array_equal(i_max, ref_i)
+        np.testing.assert_array_equal(eta, ref_eta)
+
+    def test_nan_probability_names_its_trial(self, monkeypatch):
+        original = quantum.joint_outcome00
+        calls = []
+
+        def poisoned(state, a, b):
+            p = original(state, a, b)
+            calls.append(None)
+            if len(calls) == 1:  # one probability of one trial
+                p[5] = np.nan
+            return p
+
+        monkeypatch.setattr(quantum, "joint_outcome00", poisoned)
+        config = ScenarioConfig(scenario="rom", master_seed=3)
+        with pytest.raises(NumericalConsistencyError, match="trial 1005"):
+            _evaluate_chunk(config, 1000, 1100)
 
 
 class TestWorkerIndependence:
@@ -255,8 +354,9 @@ class TestSweep:
             raise NumericalConsistencyError("injected failure")
 
         monkeypatch.setattr(mc, "_evaluate_chunk", broken)
-        with pytest.raises(ExperimentAborted):
-            sweep([ScenarioConfig(scenario="rim", trials=1_000)])
+        with pytest.raises(ExperimentAborted) as info:
+            sweep([ScenarioConfig(scenario="rim", trials=1_000)] * 2)
+        assert info.value.trials == 2_000
 
 
 class TestAbort:
@@ -274,6 +374,7 @@ class TestAbort:
             run_experiment(config)
         assert info.value.partial
         assert info.value.completed_trials == mc.CHUNK_TRIALS
+        assert info.value.trials == mc.CHUNK_TRIALS * 2
 
 
 class TestWilson:
