@@ -252,15 +252,6 @@ def _reduced_coefficients(form: CHForm, s: int):
             cb[y] -= sign
             cp[x, y] += sign
 
-    def add_marg(party, a, x, sign):
-        nonlocal const
-        vec = ca if party == "A" else cb
-        if a == 0:
-            vec[x] += sign
-        else:
-            const += sign
-            vec[x] -= sign
-
     pa, pb = form.setting_perm_a, form.setting_perm_b
     fa, fb = form.outcome_flip_a, form.outcome_flip_b
     for (x, y), sign in (((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((1, 1), -1)):
@@ -270,13 +261,9 @@ def _reduced_coefficients(form: CHForm, s: int):
             add_joint(b, a, yo, xo, sign)
         else:
             add_joint(a, b, xo, yo, sign)
-    if form.party_swap:
-        add_marg("B", int(fa[0]), pa[0], -1)
-        add_marg("A", int(fb[0]), pb[0], -1)
-    else:
-        add_marg("A", int(fa[0]), pa[0], -1)
-        add_marg("B", int(fb[0]), pb[0], -1)
-    return const, cp, ca, cb
+    # I = joint part - N
+    n_const, na, nb = _marginal_part(form, s)
+    return const - n_const, cp, ca - na, cb - nb
 
 
 def _form_key(form: CHForm, s: int):

@@ -12,6 +12,7 @@ failure, or an aborted run, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -119,18 +120,27 @@ def _emit_result(result: ExperimentResult, out_dir: str, fmt: str) -> None:
     )
 
 
+@contextlib.contextmanager
 def _progress_printer():
+    """Progress on one rewritten stderr line; a line left unfinished (an
+    aborted run) is ended on exit, so the next message starts its own line."""
     last = [0.0]
+    line_open = [False]
 
     def report(done, total, elapsed):
         if elapsed - last[0] < 0.5 and done != total:
             return
         last[0] = elapsed
+        line_open[0] = done != total
         rate = done / elapsed if elapsed > 0 else 0.0
         print(f"\rtrials {done}/{total} ({rate:,.0f}/s)",
-              end="\n" if done == total else "", file=sys.stderr, flush=True)
+              end="" if line_open[0] else "\n", file=sys.stderr, flush=True)
 
-    return report
+    try:
+        yield report
+    finally:
+        if line_open[0]:
+            print(file=sys.stderr)
 
 
 def _default_workers() -> int:
@@ -178,7 +188,8 @@ def _config_from_args(args, alpha_ratio: float) -> ScenarioConfig:
 
 def cmd_run(args) -> int:
     config = _config_from_args(args, args.alpha_ratio)
-    result = run_experiment(config, progress=_progress_printer())
+    with _progress_printer() as progress:
+        result = run_experiment(config, progress=progress)
     _emit_result(result, args.out_dir, args.format)
     print(json.dumps(result.summary, indent=2))
     return EXIT_OK
@@ -187,7 +198,8 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     ratios = _parse_ratios(args.alpha_ratios)
     configs = [_config_from_args(args, value) for _, value in ratios]
-    entries = sweep(configs, progress=_progress_printer())
+    with _progress_printer() as progress:
+        entries = sweep(configs, progress=progress)
     os.makedirs(args.out_dir, exist_ok=True)
 
     combined = [
@@ -283,10 +295,8 @@ def cmd_verify(args) -> int:
                                 trials=int(total * fraction),
                                 master_seed=args.seed, workers=args.workers)
         i_max, eta = _collect_chunks(config)
-        i_top = max(i_top, float(i_max.max()))
-        violating = eta[np.isfinite(eta)]
-        if len(violating):
-            eta_floor = min(eta_floor, float(violating.min()))
+        i_top = max(i_top, float(i_max.max(initial=-np.inf)))
+        eta_floor = min(eta_floor, float(eta.min(initial=np.inf)))
     cap = 0.2071068 + 1e-9
     ok &= _check("Tsirelson cap", i_top <= cap,
                  f"max I over {total} random trials = {i_top:.9f} (cap {cap:.9f})")
@@ -330,23 +340,24 @@ def cmd_verify(args) -> int:
     ok &= _check("threshold sign flip", sign_ok,
                  f"corrected value sign at eta_req +- 1e-6 on {checked} violating trials")
 
-    # Table invariants on random states and settings via the exact route.
+    # Table invariants via the exact route on random states, with the
+    # settings sampler of the cross-check above.
     rng_np = np.random.default_rng(args.seed + 2)
     table_ok = True
     for _ in range(2_000):
         ratio = float(rng_np.uniform(0.2, 1.0))
         vis = float(rng_np.choice([1.0, rng_np.uniform(0.0, 1.0)]))
         state = NoisyState.from_ratio(ratio, vis)
-        rng = sampling.RandomSource(args.seed + 3, int(rng_np.integers(0, 2 ** 32)))
-        a_dirs = tuple(sampling.sample_direction(rng) for _ in range(2))
-        b_dirs = tuple(sampling.sample_direction(rng) for _ in range(2))
+        directions = _exact_settings(config.scenario, args.seed + 3,
+                                     int(rng_np.integers(0, 2 ** 32)))
         try:
-            chsh.build_probability_table(state, a_dirs, b_dirs).validate()
+            chsh.build_probability_table(state, *directions).validate()
         except NumericalConsistencyError:
             table_ok = False
             break
     ok &= _check("table invariants", table_ok,
-                 "normalization and no-signaling within 1e-10 on 2000 random tables")
+                 "normalization and no-signaling within 1e-10 on 2000 random "
+                 f"{settings}-setting tables")
 
     return EXIT_OK if ok else EXIT_NUMERICAL
 

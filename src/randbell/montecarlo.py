@@ -5,9 +5,10 @@ every equivalent form of the inequality on the resulting probability table,
 records the highest value, and, when that value is positive, the required
 detection efficiency of the winning form.  Trials are embarrassingly
 parallel: each one is a pure function of (config, trial index), workers own
-disjoint chunks of a fixed chunk grid, and aggregation merges integer counts
-and per-trial arrays in trial order, so results are bit-identical for any
-worker count.
+disjoint chunks of a fixed chunk grid, each chunk returns only its
+violating trials, and aggregation reads them in trial order, so results are
+bit-identical for any worker count and memory grows with the violating
+trials only.
 
 The per-trial evaluation is vectorized: settings for a whole chunk are drawn
 from the counter-based generator in one shot, probabilities come from the
@@ -23,10 +24,12 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -335,47 +338,44 @@ def _chunk_grid(trials: int):
     return [(lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS)]
 
 
-def _collect_chunks(config: ScenarioConfig, progress=None):
-    """(i_max, eta_req) of every trial, in trial order.
+def _violating_trials(config: ScenarioConfig, lo: int, hi: int):
+    """(i_max, eta_req) of the violating trials in [lo, hi), in trial order."""
+    i_max, eta = _evaluate_chunk(config, lo, hi)
+    violated = i_max > 0.0
+    return i_max[violated], eta[violated]
 
-    Chunk results are written in place, so peak memory is the two output
-    arrays plus the chunks in flight.  A trial error or a dead worker process
-    aborts the run with the count of trials completed so far.
+
+def _collect_chunks(config: ScenarioConfig, progress=None):
+    """(i_max, eta_req) of every violating trial, in trial order.
+
+    Chunks are consumed in grid order, in this process for one worker and
+    from a process pool otherwise, so peak memory is the violating trials
+    plus the chunks in flight.  A trial error or a dead worker process aborts
+    the run with the count of trials completed, in order, before it; any
+    exception cancels the pending chunks.
     """
     chunks = _chunk_grid(config.trials)
-    i_max = np.empty(config.trials)
-    eta = np.empty(config.trials)
     started = time.perf_counter()
     done_trials = 0
-
-    def store(lo, hi, result):
-        nonlocal done_trials
-        i_max[lo:hi], eta[lo:hi] = result
-        done_trials += hi - lo
-        if progress is not None:
-            progress(done_trials, config.trials, time.perf_counter() - started)
-
+    parts = []
     try:
-        if config.workers == 1 or len(chunks) == 1:
-            for lo, hi in chunks:
-                store(lo, hi, _evaluate_chunk(config, lo, hi))
-        else:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                futures = {
-                    pool.submit(_evaluate_chunk, config, lo, hi): (lo, hi)
-                    for lo, hi in chunks
-                }
-                try:
-                    for future in as_completed(futures):
-                        # pop: a finished future holds its result arrays
-                        store(*futures.pop(future), future.result())
-                except BaseException:
-                    pool.shutdown(cancel_futures=True)
-                    raise
+        with ExitStack() as stack:
+            chunk_map = map
+            if config.workers > 1 and len(chunks) > 1:
+                pool = ProcessPoolExecutor(max_workers=config.workers)
+                stack.callback(pool.shutdown, cancel_futures=True)
+                chunk_map = pool.map
+            los, his = zip(*chunks)
+            for hi, part in zip(his, chunk_map(_violating_trials, repeat(config), los, his)):
+                parts.append(part)
+                done_trials = hi
+                if progress is not None:
+                    progress(done_trials, config.trials, time.perf_counter() - started)
     except (NumericalConsistencyError, BrokenProcessPool) as exc:
         raise ExperimentAborted(str(exc), completed_trials=done_trials,
                                 trials=config.trials) from exc
-    return i_max, eta
+    i_max, eta = zip(*parts)
+    return np.concatenate(i_max), np.concatenate(eta)
 
 
 def run_experiment(config: ScenarioConfig, progress=None) -> ExperimentResult:
@@ -385,14 +385,8 @@ def run_experiment(config: ScenarioConfig, progress=None) -> ExperimentResult:
     after each completed chunk.
     """
     started = time.perf_counter()
-    i_max, eta = _collect_chunks(config, progress)
-    violated = i_max > 0.0
-    n_viol = int(violated.sum())
-    # Keep only the violating trials, and free the per-trial arrays before
-    # the copies below: otherwise they set the run's peak memory.
-    i_max_violating = i_max[violated]
-    eta_violating = eta[violated]
-    del i_max, eta, violated
+    i_max_violating, eta_violating = _collect_chunks(config, progress)
+    n_viol = len(eta_violating)
 
     if n_viol and (eta_violating.min() < 0.6 or eta_violating.max() >= 1.0):
         raise NumericalConsistencyError("required efficiency outside [0.6, 1)")

@@ -159,7 +159,7 @@ class TestCriterion10:
             config = ScenarioConfig(scenario=scenario, alpha_ratio=ratio,
                                     trials=trials, master_seed=1)
             i_max, _ = _collect_chunks(config)
-            top = max(top, float(i_max.max()))
+            top = max(top, float(i_max.max(initial=-np.inf)))
         cap = 0.2071068 + 1e-9
         _report(10, f"(b) Tsirelson cap over 10^6 trials: max I = {top:.9f} "
                     f"<= {cap:.9f}",

@@ -1,15 +1,16 @@
 """Command-line interface checks: file emission, determinism, exit codes."""
 
-import functools
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
 import randbell.montecarlo as mc
+from randbell import NumericalConsistencyError
 from randbell.cli import build_parser, main
 
 
@@ -96,8 +97,6 @@ class TestRun:
     def test_crashed_worker_exits_2(self, tmp_path, monkeypatch, capsys):
         original = mc._evaluate_chunk
 
-        # wraps keeps the name, so the pool pickles the patched function
-        @functools.wraps(original)
         def crashing(config, lo, hi):
             if lo > 0:
                 os._exit(1)
@@ -110,6 +109,24 @@ class TestRun:
         err = capsys.readouterr().err
         assert re.search(rf"aborted after \d+ of {2 * mc.CHUNK_TRIALS} trials: A process "
                          "in the process pool was terminated abruptly", err), err
+
+    def test_abort_message_starts_its_own_line(self, tmp_path, monkeypatch, capsys):
+        original = mc._evaluate_chunk
+
+        def failing(config, lo, hi):
+            if lo > 0:
+                raise NumericalConsistencyError("injected failure")
+            time.sleep(0.5)  # long enough for a progress line
+            return original(config, lo, hi)
+
+        monkeypatch.setattr(mc, "_evaluate_chunk", failing)
+        code = _run(["run", "--scenario", "rim", "--trials", str(2 * mc.CHUNK_TRIALS),
+                     "--workers", "1", "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"\rtrials {mc.CHUNK_TRIALS}/{2 * mc.CHUNK_TRIALS}" in err, err
+        assert re.search(rf"^aborted after {mc.CHUNK_TRIALS} of {2 * mc.CHUNK_TRIALS} "
+                         "trials: injected failure", err, re.M), err
 
     @pytest.mark.parametrize("command", [["run", "--scenario", "rim"],
                                          ["sweep", "--scenario", "rim"],
@@ -171,9 +188,10 @@ class TestVerify:
         assert code == 0
         assert "72 distinct forms" in out
         lines = out.splitlines()
-        for check in ("kernel vs exact route", "threshold sign flip"):
+        for check in ("kernel vs exact route", "threshold sign flip", "table invariants"):
             line = next(line for line in lines if line.startswith(check + ":"))
             assert line.endswith("PASS"), line
+        assert "on 2000 random 3-setting tables" in line, line
 
 
 class TestEntryPoint:

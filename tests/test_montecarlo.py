@@ -1,6 +1,8 @@
 """Orchestration checks: determinism, kernel vs exact-route agreement,
 aggregation invariants, and worker-count independence."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -286,6 +288,18 @@ class TestWorkerIndependence:
         cb = {k: v for k, v in b.summary["config"].items() if k != "workers"}
         assert ca == cb
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_collect_keeps_violating_trials_in_order(self, workers):
+        config = ScenarioConfig(scenario="rom", alpha_ratio=0.7, trials=2 * mc.CHUNK_TRIALS + 7,
+                                master_seed=12, selection_policy="min-eta", workers=workers)
+        rows = [_evaluate_chunk(config, lo, hi) for lo, hi in mc._chunk_grid(config.trials)]
+        i_max = np.concatenate([i for i, _ in rows])
+        eta = np.concatenate([e for _, e in rows])
+        violated = i_max > 0.0
+        got_i, got_eta = mc._collect_chunks(config)
+        np.testing.assert_array_equal(got_i, i_max[violated])
+        np.testing.assert_array_equal(got_eta, eta[violated])
+
     def test_chunk_grid_fixed(self):
         grid = mc._chunk_grid(200_000)
         assert grid[0] == (0, mc.CHUNK_TRIALS)
@@ -375,6 +389,25 @@ class TestAbort:
         assert info.value.partial
         assert info.value.completed_trials == mc.CHUNK_TRIALS
         assert info.value.trials == mc.CHUNK_TRIALS * 2
+
+    def test_pool_abort_counts_completed_trials_in_order(self, monkeypatch):
+        # Chunk 1 of 3 fails at once while chunk 0 is still running: the
+        # count is what completed before the failing chunk, in grid order.
+        original = mc._evaluate_chunk
+
+        def failing(config, lo, hi):
+            if lo == mc.CHUNK_TRIALS:
+                raise NumericalConsistencyError("injected failure")
+            time.sleep(0.2)
+            return original(config, lo, hi)
+
+        monkeypatch.setattr(mc, "_evaluate_chunk", failing)
+        config = ScenarioConfig(scenario="rim", trials=3 * mc.CHUNK_TRIALS, workers=2)
+        for _ in range(3):
+            with pytest.raises(ExperimentAborted) as info:
+                run_experiment(config)
+            assert info.value.completed_trials == mc.CHUNK_TRIALS
+            assert info.value.trials == 3 * mc.CHUNK_TRIALS
 
 
 class TestWilson:
