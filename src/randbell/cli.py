@@ -123,11 +123,18 @@ def _emit_result(result: ExperimentResult, out_dir: str, fmt: str) -> None:
 @contextlib.contextmanager
 def _progress_printer():
     """Progress on one rewritten stderr line; a line left unfinished (an
-    aborted run) is ended on exit, so the next message starts its own line."""
+    aborted run) is ended on exit, so the next message starts its own line.
+
+    A sweep counts done and elapsed from 0 again for each config, so a call
+    whose done does not exceed the previous call's restarts the print clock."""
     last = [0.0]
+    done_before = [0]
     line_open = [False]
 
     def report(done, total, elapsed):
+        if done <= done_before[0]:
+            last[0] = 0.0
+        done_before[0] = done
         if elapsed - last[0] < 0.5 and done != total:
             return
         last[0] = elapsed
@@ -249,7 +256,7 @@ def _ks_uniform_nz(nz: np.ndarray) -> float:
 
 def _sampler_nz(scenario: str, seed: int, n: int) -> np.ndarray:
     a_dirs, _ = _SETTINGS_FROM_UNIFORMS[scenario](sampling.uniform_block(seed, 0, n))
-    # second axis for the pair sampler, first for the rest
+    # second axis for ROM, first for the rest
     column = 1 if scenario == "rom" else 0
     return a_dirs[:, column, 2]
 
@@ -260,11 +267,12 @@ def _exact_settings(scenario: str, seed: int, trial: int):
     if scenario == "rim":
         a_dirs = tuple(sampling.sample_direction(rng) for _ in range(2))
         b_dirs = tuple(sampling.sample_direction(rng) for _ in range(2))
-    else:
-        a = sampling.sample_orthogonal_triad(rng)
-        b = sampling.sample_orthogonal_triad(rng)
-        a_dirs, b_dirs = (a.d1, a.d2, a.d3), (b.d1, b.d2, b.d3)
-    return a_dirs, b_dirs
+        return a_dirs, b_dirs
+    # ROM takes the first two axes of each party's triad, ROTM all three
+    s = 3 if scenario == "rotm" else 2
+    a = sampling.sample_orthogonal_triad(rng)
+    b = sampling.sample_orthogonal_triad(rng)
+    return (a.d1, a.d2, a.d3)[:s], (b.d1, b.d2, b.d3)[:s]
 
 
 def cmd_verify(args) -> int:

@@ -10,10 +10,10 @@ batched `uniform_block` used by the Monte Carlo hot loop and the scalar
 construction.
 
 Uniform points on the sphere use the standard area-preserving map
-(n_z uniform on [-1, 1], azimuth uniform); orthogonal pairs draw the second
-axis uniformly on the great circle perpendicular to the first; orthogonal
-triads are the columns of a rotation drawn Haar-uniformly from SO(3) via a
-normalized Gaussian quaternion.
+(n_z uniform on [-1, 1], azimuth uniform).  Orthogonal triads are the
+columns of a rotation drawn Haar-uniformly from SO(3) via a normalized
+Gaussian quaternion, and orthogonal pairs are the first two axes of that
+triad, so ROM settings are ROTM settings restricted to two per party.
 """
 
 from __future__ import annotations
@@ -123,25 +123,6 @@ def direction_from_angles(u, v) -> np.ndarray:
     return np.stack([rad * np.cos(az), rad * np.sin(az), nz], axis=-1)
 
 
-def _perpendicular_circle_point(d1: np.ndarray, psi_uniform: np.ndarray) -> np.ndarray:
-    """Point at angle 2*pi*psi_uniform on the unit circle perpendicular to d1.
-
-    The in-plane basis (w, d1 x w) is built from whichever coordinate axis is
-    least aligned with d1, so the construction never degenerates.
-    """
-    d1 = np.asarray(d1, dtype=float)
-    ref = np.where(
-        (np.abs(d1[..., 0]) > 0.9)[..., None],
-        np.array([0.0, 1.0, 0.0]),
-        np.array([1.0, 0.0, 0.0]),
-    )
-    w = np.cross(d1, ref)
-    w /= np.linalg.norm(w, axis=-1, keepdims=True)
-    psi = 2.0 * np.pi * np.asarray(psi_uniform, dtype=float)
-    return (w * np.cos(psi)[..., None]
-            + np.cross(d1, w) * np.sin(psi)[..., None])
-
-
 def _rotation_from_quaternion_uniforms(u4: np.ndarray) -> np.ndarray:
     """Haar-uniform SO(3) rotations from 4 uniforms per row, shape (..., 3, 3).
 
@@ -191,15 +172,10 @@ def rim_settings_from_uniforms(u: np.ndarray):
 
 
 def rom_settings_from_uniforms(u: np.ndarray):
-    """u: (B, 8) as (uA, vA, psiA, uB, vB, psiB, unused, unused) ->
-    (B, 2, 3) per party, second axis uniform on the circle perpendicular to
-    the first."""
-    out = []
-    for k in (0, 3):
-        d1 = direction_from_angles(u[:, k], u[:, k + 1])
-        d2 = _perpendicular_circle_point(d1, u[:, k + 2])
-        out.append(np.stack([d1, d2], axis=1))
-    return out[0], out[1]
+    """u: (B, 8), four quaternion uniforms per party -> (B, 2, 3) per party,
+    the first two axes of `rotm_settings_from_uniforms` on the same u."""
+    a, b = rotm_settings_from_uniforms(u)
+    return a[:, :2], b[:, :2]
 
 
 def rotm_settings_from_uniforms(u: np.ndarray):
@@ -224,12 +200,9 @@ def sample_direction(rng: RandomSource) -> MeasurementDirection:
 
 
 def sample_orthogonal_pair(rng: RandomSource):
-    """First direction uniform on the sphere, second uniform on its
-    perpendicular great circle (consumes 3 draws)."""
-    u = rng.uniform(3)
-    d1 = direction_from_angles(u[0], u[1])
-    d2 = _perpendicular_circle_point(d1, u[2])
-    return MeasurementDirection(d1), MeasurementDirection(d2)
+    """First two axes of `sample_orthogonal_triad` (consumes 4 draws)."""
+    triad = sample_orthogonal_triad(rng)
+    return triad.d1, triad.d2
 
 
 def sample_orthogonal_triad(rng: RandomSource) -> MeasurementTriad:

@@ -10,8 +10,8 @@ import time
 import pytest
 
 import randbell.montecarlo as mc
-from randbell import NumericalConsistencyError
-from randbell.cli import build_parser, main
+from randbell import NumericalConsistencyError, chsh
+from randbell.cli import _exact_settings, _progress_printer, build_parser, main
 
 
 def _run(args):
@@ -128,6 +128,19 @@ class TestRun:
         assert re.search(rf"^aborted after {mc.CHUNK_TRIALS} of {2 * mc.CHUNK_TRIALS} "
                          "trials: injected failure", err, re.M), err
 
+    def test_each_sweep_config_shows_progress(self, capsys):
+        # two configs' reports, as a sweep makes them: done and elapsed
+        # restart at each config; every chunk takes 0.25 s
+        chunks, chunk = 10, mc.CHUNK_TRIALS
+        with _progress_printer() as report:
+            for _config in range(2):
+                for k in range(1, chunks + 1):
+                    report(k * chunk, chunks * chunk, 0.25 * k)
+        lines = capsys.readouterr().err.split("\n")
+        assert lines[2] == ""
+        assert lines[0].count("\r") == 5  # at 0.5, 1, 1.5 and 2 s, then the final one
+        assert lines[0] == lines[1]
+
     @pytest.mark.parametrize("command", [["run", "--scenario", "rim"],
                                          ["sweep", "--scenario", "rim"],
                                          ["verify"]])
@@ -192,6 +205,20 @@ class TestVerify:
             line = next(line for line in lines if line.startswith(check + ":"))
             assert line.endswith("PASS"), line
         assert "on 2000 random 3-setting tables" in line, line
+
+    def test_exact_settings_match_the_rom_kernel(self):
+        # verify runs the RIM and ROTM kernels; ROM takes two triad axes
+        config = mc.ScenarioConfig(scenario="rom", alpha_ratio=0.6, master_seed=13)
+        forms = chsh.enumerate_forms(config.settings_per_party)
+        for trial in range(40):
+            a_dirs, b_dirs = _exact_settings("rom", config.master_seed, trial)
+            assert len(a_dirs) == len(b_dirs) == config.settings_per_party
+            record = chsh.max_violation(
+                chsh.build_probability_table(config.state, a_dirs, b_dirs), forms)
+            outcome = mc.run_trial(config, trial)
+            assert abs(record.i_value - outcome.i_max) <= 1e-12
+            if outcome.violated:
+                assert abs(record.eta_req - outcome.eta_req) <= 1e-10
 
 
 class TestEntryPoint:

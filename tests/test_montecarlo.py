@@ -252,6 +252,42 @@ class TestChunkKernel:
         np.testing.assert_array_equal(i_max, ref_i)
         np.testing.assert_array_equal(eta, ref_eta)
 
+    def test_rom_never_beats_rotm(self):
+        # ROM's settings are ROTM's first two axes on the same uniforms, and
+        # its 8 forms are among ROTM's 72, so no trial can do better
+        lo, hi = 3 * mc.CHUNK_TRIALS, 4 * mc.CHUNK_TRIALS
+        i_max = {scenario: _evaluate_chunk(ScenarioConfig(scenario=scenario, alpha_ratio=0.5,
+                                                          visibility=0.95, master_seed=19),
+                                           lo, hi)[0]
+                 for scenario in ("rom", "rotm")}
+        assert (i_max["rom"] <= i_max["rotm"]).all()
+
+    @staticmethod
+    def _both_policies(scenario, ratio, visibility, seed):
+        return [_evaluate_chunk(ScenarioConfig(scenario=scenario, alpha_ratio=ratio,
+                                               visibility=visibility, master_seed=seed,
+                                               selection_policy=policy),
+                                0, mc.CHUNK_TRIALS)
+                for policy in ("max-i", "min-eta")]
+
+    @pytest.mark.parametrize("scenario", ["rim", "rom"])
+    @pytest.mark.parametrize("ratio,visibility,seed", [(1.0, 1.0, 2), (0.5, 1.0, 5),
+                                                       (0.5, 0.95, 8)])
+    def test_selection_policy_moot_for_two_settings(self, scenario, ratio, visibility, seed):
+        # Of a setting pair's 8 forms (+-S_k - 2)/4 at most one is positive,
+        # since |S_k| + |S_j| <= 4, so both policies pick the same form.
+        (i_a, eta_a), (i_b, eta_b) = self._both_policies(scenario, ratio, visibility, seed)
+        np.testing.assert_array_equal(i_a, i_b)
+        np.testing.assert_array_equal(eta_a, eta_b)
+
+    def test_min_eta_lowers_rotm_eta_req(self):
+        # ROTM chooses among 9 setting pairs, so min-eta can beat max-i's form
+        (i_a, eta_a), (i_b, eta_b) = self._both_policies("rotm", 0.5, 0.95, 8)
+        np.testing.assert_array_equal(i_a > 0, i_b > 0)
+        violated = i_a > 0
+        assert (eta_b[violated] <= eta_a[violated]).all()
+        assert (eta_b[violated] < eta_a[violated]).any()
+
     def test_nan_probability_names_its_trial(self, monkeypatch):
         original = quantum.joint_outcome00
         calls = []

@@ -191,10 +191,27 @@ class TestOrthogonalPair:
         d1, d2 = sample_orthogonal_pair(RandomSource(0, 0))
         assert abs(float(d1.n @ d2.n)) < 1e-10
 
-    def test_pole_conditioned_equator(self):
-        from randbell.sampling import _perpendicular_circle_point
-        d2 = _perpendicular_circle_point(np.array([0.0, 0.0, 1.0]), np.linspace(0, 0.999, 50))
-        assert np.abs(d2[:, 2]).max() < 1e-12
+    def test_first_two_axes_of_the_triad(self):
+        # ROM is ROTM restricted to two settings per party, bit for bit
+        u = uniform_block(5, 0, 4096)
+        for pair, triad in zip(rom_settings_from_uniforms(u), rotm_settings_from_uniforms(u)):
+            np.testing.assert_array_equal(pair, triad[:, :2])
+        d1, d2 = sample_orthogonal_pair(RandomSource(5, 9))
+        triad = sample_orthogonal_triad(RandomSource(5, 9))
+        np.testing.assert_array_equal(np.stack([d1.n, d2.n]), triad.as_array()[:2])
+
+    def test_joint_law_matches_gram_schmidt(self, pairs):
+        # independent uniform-pair construction: Gram-Schmidt on two 3D
+        # Gaussians; compares statistics that couple the two axes
+        rng = np.random.default_rng(11)
+        g1, g2 = rng.standard_normal((2, 200_000, 3))
+        g1 /= np.linalg.norm(g1, axis=1, keepdims=True)
+        g2 -= np.einsum("bi,bi->b", g1, g2)[:, None] * g1
+        g2 /= np.linalg.norm(g2, axis=1, keepdims=True)
+        d1, d2 = pairs[:200_000, 0], pairs[:200_000, 1]
+        for ours, ref in ((np.cross(d1, d2)[:, 2], np.cross(g1, g2)[:, 2]),
+                          (d1[:, 2] * d2[:, 2], g1[:, 2] * g2[:, 2])):
+            assert stats.ks_2samp(ours, ref).pvalue > 0.001
 
     def test_second_direction_uniform(self, pairs):
         # marginal of the in-plane axis is uniform on the sphere
