@@ -2,8 +2,10 @@
 
 Data goes to files and standard output; progress goes to standard error.
 Real numbers in CSV files carry 17 significant digits so outputs are
-byte-identical across runs and platforms, and every output file embeds the
-full run configuration.
+byte-identical across runs, platforms and worker counts.  Every output file
+embeds the run configuration; summary.json alone adds what does not change
+results: the worker count, the wall time and a manifest of the software
+and machine.
 
 Exit codes: 0 success, 1 invalid arguments, 2 numerical or verification
 failure, or an aborted run, 3 I/O failure.
@@ -28,6 +30,7 @@ from .montecarlo import (
     ScenarioConfig,
     _SETTINGS_FROM_UNIFORMS,
     _collect_chunks,
+    _usable_cpus,
     run_trial,
     run_experiment,
     sweep,
@@ -53,8 +56,16 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _table_config(config: ScenarioConfig) -> dict:
+    """The config a result table embeds: all of it but the worker count,
+    which does not change results and is in summary.json."""
+    doc = config.as_dict()
+    del doc["workers"]
+    return doc
+
+
 def _config_comment(config: ScenarioConfig) -> str:
-    return "# config: " + json.dumps(config.as_dict(), sort_keys=True)
+    return "# config: " + json.dumps(_table_config(config), sort_keys=True)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -85,7 +96,7 @@ def _curve_csv(result: ExperimentResult) -> str:
 def _histogram_json(result: ExperimentResult) -> str:
     h = result.histogram
     doc = {
-        "config": result.config.as_dict(),
+        "config": _table_config(result.config),
         "bin_edges": h.bin_edges.tolist(),
         "counts": h.counts.tolist(),
         "total_trials": h.total_trials,
@@ -97,7 +108,7 @@ def _histogram_json(result: ExperimentResult) -> str:
 def _curve_json(result: ExperimentResult) -> str:
     c = result.curve
     doc = {
-        "config": result.config.as_dict(),
+        "config": _table_config(result.config),
         "eta": c.etas.tolist(),
         "p_viol": c.p_viol.tolist(),
         "ci_low": c.ci_low.tolist(),
@@ -148,15 +159,6 @@ def _progress_printer():
     finally:
         if line_open[0]:
             print(file=sys.stderr)
-
-
-def _default_workers() -> int:
-    """CPUs this process may run on, which under taskset or a cpuset is
-    fewer than `os.cpu_count()`."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not available on every platform
-        return os.cpu_count() or 1
 
 
 def _parse_ratios(text: str) -> list[tuple[str, float]]:
@@ -255,10 +257,11 @@ def _ks_uniform_nz(nz: np.ndarray) -> float:
 
 
 def _sampler_nz(scenario: str, seed: int, n: int) -> np.ndarray:
-    a_dirs, _ = _SETTINGS_FROM_UNIFORMS[scenario](sampling.uniform_block(seed, 0, n))
-    # second axis for ROM, first for the rest
-    column = 1 if scenario == "rom" else 0
-    return a_dirs[:, column, 2]
+    """n_z of one of party A's settings in the kernel's coordinate rows: the
+    second for ROM, the first for the rest."""
+    rows = _SETTINGS_FROM_UNIFORMS[scenario](sampling.uniform_block(seed, 0, n))
+    s = 3 if scenario == "rotm" else 2
+    return rows[s * s + (1 if scenario == "rom" else 0)]
 
 
 def _exact_settings(scenario: str, seed: int, trial: int):
@@ -390,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta-grid", default="0.60:1.00:0.001",
                        help="curve grid as START:STOP:STEP")
         p.add_argument("--selection", choices=["max-i", "min-eta"], default="max-i")
-        p.add_argument("--workers", type=int, default=_default_workers())
+        p.add_argument("--workers", type=int, default=_usable_cpus())
         p.add_argument("--out-dir", default="./results")
         p.add_argument("--format", choices=["csv", "json", "both"], default="both")
 
@@ -405,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p = sub.add_parser("verify", help="run the oracle self-checks")
     verify_p.add_argument("--settings", type=int, choices=[2, 3], default=2)
     verify_p.add_argument("--seed", type=int, default=0)
-    verify_p.add_argument("--workers", type=int, default=_default_workers())
+    verify_p.add_argument("--workers", type=int, default=_usable_cpus())
     verify_p.set_defaults(func=cmd_verify)
 
     return parser

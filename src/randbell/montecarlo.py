@@ -10,30 +10,36 @@ violating trials, and aggregation reads them in trial order, so results are
 bit-identical for any worker count and memory grows with the violating
 trials only.
 
-The per-trial evaluation is vectorized: settings for a whole chunk are drawn
-from the counter-based generator in one shot, probabilities come from the
-closed-form Bloch route, and each form's value is streamed as a signed sum
+The per-trial evaluation is vectorized over a chunk and never builds a
+direction: the chunk's uniforms come from the counter-based generator in
+one shot, the scenario's map in `sampling` turns them straight into
+correlator-coordinate rows (each setting's z-component and each setting
+pair's in-plane product), the closed-form route in `quantum` turns those
+into probability rows, and each form's value is streamed as a signed sum
 of probability rows (every coefficient is -1, 0 or +1) into a running
 winner, so no per-form matrix is built and no BLAS call is made.  The
-exact operator route in `quantum`/`chsh` computes the same numbers one
-trial at a time and serves as the independent cross-check (see tests and
-the CLI verify command).
+exact operator route in `quantum`/`chsh`, fed by the scalar samplers'
+directions, computes the same numbers one trial at a time and serves as
+the independent cross-check (see tests and the CLI verify command).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import platform
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 
 import numpy as np
 
-from . import chsh, sampling
+from . import chsh, quantum, sampling
 from .errors import NumericalConsistencyError
 from .quantum import NoisyState
 
@@ -222,10 +228,12 @@ def _form_tables(settings_per_party: int):
     return const, i_terms, n_const, n_terms, n_a, n_b
 
 
+# Each scenario's map from a (B, 8) uniform block to its coordinate rows
+# (see `sampling`); looked up at call time.
 _SETTINGS_FROM_UNIFORMS = {
-    "rim": sampling.rim_settings_from_uniforms,
-    "rom": sampling.rom_settings_from_uniforms,
-    "rotm": sampling.rotm_settings_from_uniforms,
+    "rim": sampling.rim_coordinates,
+    "rom": partial(sampling.triad_coordinates, settings=2),
+    "rotm": partial(sampling.triad_coordinates, settings=3),
 }
 
 
@@ -236,23 +244,27 @@ def _signed_sum(out, start, coords, terms):
         op(out, coords[row], out=out)
 
 
+def _probabilities(state: NoisyState, settings_per_party: int, rows: np.ndarray):
+    """Coordinate rows (in-plane products, z_A, z_B) overwritten, in place,
+    with the probability rows of the same layout (p00 for each (x, y), pA0,
+    pB0), which are returned."""
+    s = settings_per_party
+    inplane = rows[:s * s].reshape(s, s, -1)
+    z_a, z_b = rows[s * s:s * s + s], rows[s * s + s:]
+    inplane[...] = quantum.joint_outcome00(state, z_a[:, None], z_b[None], inplane)
+    z_a[...] = quantum.marginal_outcome0(state, z_a, "A")
+    z_b[...] = quantum.marginal_outcome0(state, z_b, "B")
+    return rows
+
+
 def _evaluate_chunk(config: ScenarioConfig, lo: int, hi: int):
     """Evaluate trials [lo, hi); returns (i_max, eta_req) arrays, eta NaN
     when the trial is not violated."""
-    state = config.state
     s = config.settings_per_party
-    u = sampling.uniform_block(config.master_seed, lo, hi)
-    a_dirs, b_dirs = _SETTINGS_FROM_UNIFORMS[config.scenario](u)
-
-    from .quantum import joint_outcome00, marginal_outcome0
-
-    # One contiguous row per coordinate: p00 for each (x, y), pA0, pB0.
-    coords = np.empty((s * s + 2 * s, hi - lo))
-    for x in range(s):
-        for y in range(s):
-            coords[x * s + y] = joint_outcome00(state, a_dirs[:, x], b_dirs[:, y])
-    coords[s * s:s * s + s] = marginal_outcome0(state, a_dirs, "A").T
-    coords[s * s + s:] = marginal_outcome0(state, b_dirs, "B").T
+    # the uniforms are freed once they are mapped, before the probabilities
+    rows = _SETTINGS_FROM_UNIFORMS[config.scenario](
+        sampling.uniform_block(config.master_seed, lo, hi))
+    coords = _probabilities(config.state, s, rows)
     finite = np.isfinite(coords).all(axis=0)
     if not finite.all():
         bad = lo + int(np.flatnonzero(~finite)[0])
@@ -350,9 +362,9 @@ def _collect_chunks(config: ScenarioConfig, progress=None):
 
     Chunks are consumed in grid order, in this process for one worker and
     from a process pool otherwise, so peak memory is the violating trials
-    plus the chunks in flight.  A trial error or a dead worker process aborts
-    the run with the count of trials completed, in order, before it; any
-    exception cancels the pending chunks.
+    plus the chunks in flight.  A trial error, a dead worker process or an
+    interrupt aborts the run with the count of trials completed, in order,
+    before it; any exception cancels the pending chunks.
     """
     chunks = _chunk_grid(config.trials)
     started = time.perf_counter()
@@ -362,7 +374,11 @@ def _collect_chunks(config: ScenarioConfig, progress=None):
         with ExitStack() as stack:
             chunk_map = map
             if config.workers > 1 and len(chunks) > 1:
-                pool = ProcessPoolExecutor(max_workers=config.workers)
+                # an interrupt is the parent's to handle: it cancels the
+                # pending chunks, and the workers finish the running ones
+                pool = ProcessPoolExecutor(max_workers=config.workers,
+                                           initializer=signal.signal,
+                                           initargs=(signal.SIGINT, signal.SIG_IGN))
                 stack.callback(pool.shutdown, cancel_futures=True)
                 chunk_map = pool.map
             los, his = zip(*chunks)
@@ -373,6 +389,9 @@ def _collect_chunks(config: ScenarioConfig, progress=None):
                     progress(done_trials, config.trials, time.perf_counter() - started)
     except (NumericalConsistencyError, BrokenProcessPool) as exc:
         raise ExperimentAborted(str(exc), completed_trials=done_trials,
+                                trials=config.trials) from exc
+    except KeyboardInterrupt as exc:
+        raise ExperimentAborted("interrupted", completed_trials=done_trials,
                                 trials=config.trials) from exc
     i_max, eta = zip(*parts)
     return np.concatenate(i_max), np.concatenate(eta)
@@ -439,8 +458,33 @@ def run_experiment(config: ScenarioConfig, progress=None) -> ExperimentResult:
         ),
         "min_eta_req": float(eta_violating[0]) if n_viol else None,
         "wall_time_s": time.perf_counter() - started,
+        "manifest": _manifest(config),
     }
     return ExperimentResult(config=config, histogram=histogram, curve=curve, summary=summary)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, which under taskset or a cpuset is
+    fewer than `os.cpu_count()`."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not available on every platform
+        return os.cpu_count() or 1
+
+
+def _manifest(config: ScenarioConfig) -> dict:
+    """What ran a result: software versions, platform and chunk grid."""
+    from . import __version__  # the package sets it after importing this module
+
+    return {
+        "randbell": __version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "usable_cpus": _usable_cpus(),
+        "chunk_trials": CHUNK_TRIALS,
+        "workers": config.workers,
+    }
 
 
 def sweep(configs: list[ScenarioConfig], progress=None) -> list[SweepEntry]:
@@ -448,19 +492,28 @@ def sweep(configs: list[ScenarioConfig], progress=None) -> list[SweepEntry]:
 
     The master seed of config k is offset by its ordinal, so a sweep over
     one config is identical to run_experiment on it.  Per-config failures
-    are isolated; the remaining configs still run.
+    are isolated; the remaining configs still run.  An interrupt stops the
+    whole sweep with ExperimentAborted, counting the trials of the configs
+    that finished and the in-order trials of the interrupted one.
     """
     if not configs:
         raise ValueError("sweep needs at least one config")
+    total = sum(config.trials for config in configs)
+    done = 0
     entries = []
     for ordinal, config in enumerate(configs):
         effective = replace(config, master_seed=(config.master_seed + ordinal) & _MASK64)
         try:
             result = run_experiment(effective, progress=progress)
             entries.append(SweepEntry(config=effective, result=result))
+            done += effective.trials
+        except ExperimentAborted as exc:
+            if isinstance(exc.__cause__, KeyboardInterrupt):
+                raise ExperimentAborted(str(exc), completed_trials=done + exc.completed_trials,
+                                        trials=total) from exc.__cause__
+            entries.append(SweepEntry(config=effective, error=str(exc)))
         except Exception as exc:  # noqa: BLE001 - isolation is the contract
             entries.append(SweepEntry(config=effective, error=str(exc)))
     if all(entry.result is None for entry in entries):
-        raise ExperimentAborted("every sweep config failed", completed_trials=0,
-                                trials=sum(config.trials for config in configs))
+        raise ExperimentAborted("every sweep config failed", completed_trials=0, trials=total)
     return entries

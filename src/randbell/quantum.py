@@ -13,8 +13,11 @@ Two evaluation routes are provided and cross-checked in the test suite:
 * exact route: explicit 4x4 operators, `joint_probability` and
   `marginal_probability`, each the density-operator trace tr(rho M);
 * closed-form route: `joint_outcome00` / `marginal_outcome0`, which evaluate
-  the same Born-rule values directly from Bloch coordinates and broadcast
-  over direction arrays.  This is the hot path of the Monte Carlo kernel.
+  the same Born-rule values from correlator coordinates and broadcast over
+  arrays of them: the z-components of the two directions and their in-plane
+  product a_x b_x + a_y b_y, the only numbers of a direction pair the state
+  below sees.  This is the hot path of the Monte Carlo kernel, fed by the
+  coordinate rows of `sampling.rim_coordinates` / `triad_coordinates`.
 """
 
 from __future__ import annotations
@@ -195,7 +198,7 @@ def marginal_probability(state: NoisyState, m: Projector, party: str,
 
 
 # ---------------------------------------------------------------------------
-# Closed-form Bloch-coordinate route (vectorized).
+# Closed-form correlator-coordinate route (vectorized).
 #
 # For rho built from |Psi> = alpha|01> + beta|10>, the correlation matrix is
 # diag(C, C, -1) with C = 2*alpha*beta, and the local Bloch vectors are
@@ -203,24 +206,23 @@ def marginal_probability(state: NoisyState, m: Projector, party: str,
 # by the visibility.
 # ---------------------------------------------------------------------------
 
-def joint_outcome00(state: NoisyState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """p(0,0) for direction arrays a, b of shape (..., 3); broadcasts."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+def joint_outcome00(state: NoisyState, z_a, z_b, inplane) -> np.ndarray:
+    """p(0,0) from the z-components z_a, z_b of the two directions and their
+    in-plane product a_x b_x + a_y b_y; broadcasts.
+
+    p = (1 + V (c_z (z_a - z_b) + C inplane - z_a z_b)) / 4, grouped so that
+    the terms in z_a alone are computed once per broadcast row.
+    """
+    v = state.visibility
     cz = state.bloch_z
-    conc = state.pure.concurrence
-    corr = (
-        cz * (a[..., 2] - b[..., 2])
-        + conc * (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
-        - a[..., 2] * b[..., 2]
-    )
-    return 0.25 * (1.0 + state.visibility * corr)
+    own = 0.25 * (1.0 + v * cz * z_a)
+    cross = (0.25 * v) * (cz + z_a)
+    return own - cross * z_b + (0.25 * v * state.pure.concurrence) * inplane
 
 
-def marginal_outcome0(state: NoisyState, n: np.ndarray, party: str) -> np.ndarray:
-    """p(outcome 0) for one party, direction array of shape (..., 3)."""
-    n = np.asarray(n, dtype=float)
-    sign = 1.0 if party == "A" else -1.0
+def marginal_outcome0(state: NoisyState, z, party: str) -> np.ndarray:
+    """p(outcome 0) for one party from its directions' z-components z."""
     if party not in ("A", "B"):
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    return 0.5 * (1.0 + state.visibility * sign * state.bloch_z * n[..., 2])
+    sign = 1.0 if party == "A" else -1.0
+    return 0.5 * (1.0 + (sign * state.visibility * state.bloch_z) * z)

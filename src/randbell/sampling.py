@@ -14,6 +14,11 @@ Uniform points on the sphere use the standard area-preserving map
 columns of a rotation drawn Haar-uniformly from SO(3) via a normalized
 Gaussian quaternion, and orthogonal pairs are the first two axes of that
 triad, so ROM settings are ROTM settings restricted to two per party.
+
+The scalar samplers build these directions one trial at a time, as the
+oracle.  The Monte Carlo kernel never builds them: `rim_coordinates` and
+`triad_coordinates` map a block of uniforms straight to the numbers its
+Born probabilities need (see the layout below).
 """
 
 from __future__ import annotations
@@ -33,9 +38,8 @@ __all__ = [
     "sample_direction",
     "sample_orthogonal_pair",
     "sample_orthogonal_triad",
-    "rim_settings_from_uniforms",
-    "rom_settings_from_uniforms",
-    "rotm_settings_from_uniforms",
+    "rim_coordinates",
+    "triad_coordinates",
 ]
 
 # Uniform draws owned by one trial: two Philox4x64 blocks of 4 words each.
@@ -159,33 +163,109 @@ def _rotation_from_quaternion_uniforms(u4: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batched per-scenario settings.  Column layout of the uniform matrix is the
-# draw order of one trial's stream: party A first, then party B.
+# Batched coordinate rows.  A trial's Born probabilities see its directions
+# only through each direction's z-component and the in-plane product
+# a_x b_x + a_y b_y of each pair (a of A's, b of B's).  Layout for s settings
+# per party, one column per trial: row x*s + y holds the in-plane product of
+# A's x-th and B's y-th direction, then s rows hold A's z-components and s
+# rows B's.  The uniform columns are the draw order of one trial's stream:
+# party A first, then party B.
 # ---------------------------------------------------------------------------
 
-def rim_settings_from_uniforms(u: np.ndarray):
-    """u: (B, 8) as (uA0, vA0, uA1, vA1, uB0, vB0, uB1, vB1) ->
-    two direction arrays of shape (B, 2, 3)."""
-    a = direction_from_angles(u[:, 0:4:2], u[:, 1:4:2])
-    b = direction_from_angles(u[:, 4:8:2], u[:, 5:8:2])
-    return a, b
+def rim_coordinates(u: np.ndarray) -> np.ndarray:
+    """u: (B, 8) as (uA0, vA0, uA1, vA1, uB0, vB0, uB1, vB1) -> (8, B) rows
+    of `direction_from_angles`' directions.
+
+    With z = 1 - 2v and r = sqrt(1 - z^2), the in-plane product of two
+    directions is r_a * r_b * cos(2*pi*(u_a - u_b)).
+    """
+    ut = u.T
+    # written in place: fewer chunk-sized temporaries, fewer heap page faults
+    rows = np.empty((8, len(u)))
+    z = rows[4:]
+    np.multiply(ut[1::2], -2.0, out=z)
+    z += 1.0
+    # |z| <= 1, so z*z rounds to at most 1 and the root is real
+    r = np.sqrt(1.0 - z * z)
+    inplane = rows[:4].reshape(2, 2, -1)
+    np.subtract(ut[0:4:2, None], ut[None, 4:8:2], out=inplane)
+    inplane *= 2.0 * np.pi
+    np.cos(inplane, out=inplane)
+    inplane *= r[:2, None]
+    inplane *= r[None, 2:]
+    return rows
 
 
-def rom_settings_from_uniforms(u: np.ndarray):
-    """u: (B, 8), four quaternion uniforms per party -> (B, 2, 3) per party,
-    the first two axes of `rotm_settings_from_uniforms` on the same u."""
-    a, b = rotm_settings_from_uniforms(u)
-    return a[:, :2], b[:, :2]
+def triad_coordinates(u: np.ndarray, settings: int) -> np.ndarray:
+    """u: (B, 8), four quaternion uniforms per party -> (s*s + 2*s, B) rows
+    of the first s = `settings` axes of each party's Haar-random triad, the
+    columns of `_rotation_from_quaternion_uniforms` on the same uniforms.
+
+    A's axes are R(q_A) e_k and B's R(q_B) e_l, so their z-components are
+    the third rows of R(q_A) and R(q_B), and their dot products are the
+    entries of R(q_A)^T R(q_B) = R(conj(q_A) q_B); the in-plane product is
+    the dot product less the product of the z-components.  Every entry is
+    computed on its own, so s = 2 gives the s = 3 rows restricted to two
+    axes, bit for bit.
+    """
+    ut = u.T
+    s = settings
+    q_a = _unit_quaternions(ut[0:4])
+    q_b = _unit_quaternions(ut[4:8])
+    rows = np.empty((s * s + 2 * s, len(u)))
+    z_a, z_b = rows[s * s:s * s + s], rows[s * s + s:]
+    for k in range(s):
+        z_a[k] = _rotation_entry(q_a, 2, k)
+        z_b[k] = _rotation_entry(q_b, 2, k)
+    relative = _conjugate_product(q_a, q_b)
+    for k in range(s):
+        for l in range(s):
+            np.subtract(_rotation_entry(relative, k, l), z_a[k] * z_b[l], out=rows[k * s + l])
+    return rows
 
 
-def rotm_settings_from_uniforms(u: np.ndarray):
-    """u: (B, 8), four quaternion uniforms per party -> (B, 3, 3) per party;
-    row k of each trial is the image of the k-th coordinate axis."""
-    out = []
-    for k in (0, 4):
-        rot = _rotation_from_quaternion_uniforms(u[:, k:k + 4])
-        out.append(rot.transpose(0, 2, 1))
-    return out[0], out[1]
+def _unit_quaternions(u4: np.ndarray):
+    """(w, x, y, z) rows of the unit quaternions that
+    `_rotation_from_quaternion_uniforms` draws from uniform rows u4.
+
+    Box-Muller radii r^2 = -2 log(1 - u) make the normalized quaternion
+    (rho_1 cos t1, rho_1 sin t1, rho_2 cos t2, rho_2 sin t2) with
+    rho_1^2 = r1^2 / (r1^2 + r2^2); a zero quaternion (u0 = u2 = 0) gives the
+    identity, as there.
+    """
+    l1 = np.log1p(-u4[0])
+    l2 = np.log1p(-u4[2])
+    total = l1 + l2
+    zero = total == 0.0
+    total += zero
+    rho1 = np.sqrt(l1 / total)
+    rho2 = np.sqrt(l2 / total)
+    t1 = 2.0 * np.pi * u4[1]
+    t2 = 2.0 * np.pi * u4[3]
+    return rho1 * np.cos(t1) + zero, rho1 * np.sin(t1), rho2 * np.cos(t2), rho2 * np.sin(t2)
+
+
+def _conjugate_product(p, q):
+    """conj(p) q for quaternion rows (w, x, y, z), so R(result) = R(p)^T R(q)."""
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return (pw * qw + px * qx + py * qy + pz * qz,
+            pw * qx - px * qw - py * qz + pz * qy,
+            pw * qy - py * qw - pz * qx + px * qz,
+            pw * qz - pz * qw - px * qy + py * qx)
+
+
+def _rotation_entry(q, k: int, l: int) -> np.ndarray:
+    """Entry (k, l) of R(q) for unit quaternion rows q = (w, x, y, z), with
+    the arithmetic of `_rotation_from_quaternion_uniforms`."""
+    w, v = q[0], q[1:]
+    if k == l:
+        i, j = (m for m in range(3) if m != k)
+        return 1.0 - 2.0 * (v[i] * v[i] + v[j] * v[j])
+    vv = v[k] * v[l]
+    wv = w * v[3 - k - l]
+    # R = I + 2w[v]x + 2[v]x^2: the w term is -w v_m for (k, l, m) cyclic
+    return 2.0 * (vv - wv if (l - k) % 3 == 1 else vv + wv)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface checks: file emission, determinism, exit codes."""
 
+import contextlib
 import json
 import os
 import re
@@ -9,6 +10,8 @@ import time
 
 import pytest
 
+import randbell
+import randbell.cli as cli
 import randbell.montecarlo as mc
 from randbell import NumericalConsistencyError, chsh
 from randbell.cli import _exact_settings, _progress_printer, build_parser, main
@@ -127,6 +130,48 @@ class TestRun:
         assert f"\rtrials {mc.CHUNK_TRIALS}/{2 * mc.CHUNK_TRIALS}" in err, err
         assert re.search(rf"^aborted after {mc.CHUNK_TRIALS} of {2 * mc.CHUNK_TRIALS} "
                          "trials: injected failure", err, re.M), err
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--alpha-ratio", "1.0"],
+        ["sweep", "--alpha-ratios", "1.0,0.5"],
+    ])
+    def test_interrupt_exits_2_without_traceback(self, tmp_path, monkeypatch, capsys,
+                                                 command):
+        @contextlib.contextmanager
+        def interrupting_printer():
+            def report(done, total, elapsed):
+                raise KeyboardInterrupt  # Ctrl-C after the first chunk
+
+            yield report
+
+        monkeypatch.setattr(cli, "_progress_printer", interrupting_printer)
+        trials = 2 * mc.CHUNK_TRIALS
+        total = trials * (2 if command[0] == "sweep" else 1)
+        code = _run(command + ["--scenario", "rim", "--trials", str(trials),
+                               "--workers", "1", "--out-dir", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"aborted after {mc.CHUNK_TRIALS} of {total} trials: "
+                                "interrupted\n")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_summary_manifest_stays_out_of_tables(self, tmp_path, capsys):
+        # two runs that differ in the worker count and the wall time only
+        d1, d2 = tmp_path / "a", tmp_path / "b"
+        for workers, out_dir in ((1, d1), (2, d2)):
+            assert _run(["run", "--scenario", "rim", "--trials", str(2 * mc.CHUNK_TRIALS + 5),
+                         "--seed", "42", "--workers", str(workers),
+                         "--out-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        for name in ("histogram.csv", "curve.csv", "histogram.json", "curve.json"):
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+        manifests = [json.loads((d / "summary.json").read_text())["manifest"] for d in (d1, d2)]
+        assert set(manifests[0]) == {"randbell", "numpy", "python", "platform",
+                                     "usable_cpus", "chunk_trials", "workers"}
+        assert [m["workers"] for m in manifests] == [1, 2]
+        assert manifests[0]["chunk_trials"] == mc.CHUNK_TRIALS
+        assert manifests[0]["randbell"] == randbell.__version__
 
     def test_each_sweep_config_shows_progress(self, capsys):
         # two configs' reports, as a sweep makes them: done and elapsed

@@ -9,11 +9,15 @@ import pytest
 import randbell.montecarlo as mc
 import randbell.quantum as quantum
 from randbell import (
+    NoisyState,
     NumericalConsistencyError,
     ScenarioConfig,
     build_probability_table,
     enumerate_forms,
+    joint_probability,
+    marginal_probability,
     max_violation,
+    projector_from_direction,
     run_experiment,
     run_trial,
     sweep,
@@ -30,13 +34,13 @@ from randbell.sampling import (
 )
 
 
-def _exact_trial(config, trial_index):
-    """Per-trial evaluation through the exact operator route."""
-    rng = RandomSource(config.master_seed, trial_index)
-    if config.scenario == "rim":
+def _exact_directions(scenario, master_seed, trial_index):
+    """A trial's directions for each party from the scalar samplers."""
+    rng = RandomSource(master_seed, trial_index)
+    if scenario == "rim":
         a_dirs = tuple(sample_direction(rng) for _ in range(2))
         b_dirs = tuple(sample_direction(rng) for _ in range(2))
-    elif config.scenario == "rom":
+    elif scenario == "rom":
         a_dirs = sample_orthogonal_pair(rng)
         b_dirs = sample_orthogonal_pair(rng)
     else:
@@ -44,6 +48,12 @@ def _exact_trial(config, trial_index):
         b_triad = sample_orthogonal_triad(rng)
         a_dirs = (a_triad.d1, a_triad.d2, a_triad.d3)
         b_dirs = (b_triad.d1, b_triad.d2, b_triad.d3)
+    return a_dirs, b_dirs
+
+
+def _exact_trial(config, trial_index):
+    """Per-trial evaluation through the exact operator route."""
+    a_dirs, b_dirs = _exact_directions(config.scenario, config.master_seed, trial_index)
     table = build_probability_table(config.state, a_dirs, b_dirs)
     forms = enumerate_forms(config.settings_per_party)
     return max_violation(table, forms, policy=config.selection_policy)
@@ -73,14 +83,9 @@ def _dense_winner(coords, s, policy):
 def _dense_chunk(config, lo, hi):
     """_dense_winner on the probabilities of trials [lo, hi)."""
     s = config.settings_per_party
-    u = uniform_block(config.master_seed, lo, hi)
-    a_dirs, b_dirs = mc._SETTINGS_FROM_UNIFORMS[config.scenario](u)
-    state = config.state
-    p00 = [quantum.joint_outcome00(state, a_dirs[:, x], b_dirs[:, y])
-           for x in range(s) for y in range(s)]
-    pa0 = quantum.marginal_outcome0(state, a_dirs, "A")
-    pb0 = quantum.marginal_outcome0(state, b_dirs, "B")
-    return _dense_winner(np.column_stack([*p00, pa0, pb0]), s, config.selection_policy)
+    rows = mc._SETTINGS_FROM_UNIFORMS[config.scenario](uniform_block(config.master_seed, lo, hi))
+    coords = mc._probabilities(config.state, s, rows)
+    return _dense_winner(coords.T, s, config.selection_policy)
 
 
 # Probability coordinates (p00 for each (x, y), pA0, pB0), in eighths, on
@@ -292,17 +297,47 @@ class TestChunkKernel:
         original = quantum.joint_outcome00
         calls = []
 
-        def poisoned(state, a, b):
-            p = original(state, a, b)
+        def poisoned(state, z_a, z_b, inplane):
+            p = original(state, z_a, z_b, inplane)
             calls.append(None)
             if len(calls) == 1:  # one probability of one trial
-                p[5] = np.nan
+                p[0, 0, 5] = np.nan
             return p
 
         monkeypatch.setattr(quantum, "joint_outcome00", poisoned)
         config = ScenarioConfig(scenario="rom", master_seed=3)
         with pytest.raises(NumericalConsistencyError, match="trial 1005"):
             _evaluate_chunk(config, 1000, 1100)
+
+
+class TestCoordinateRows:
+    # 2,500 trials per scenario: across the first chunk boundary and from
+    # trial 2^40 on
+    RANGES = [(mc.CHUNK_TRIALS - 1000, mc.CHUNK_TRIALS + 1000), (2 ** 40, 2 ** 40 + 500)]
+
+    @pytest.mark.parametrize("scenario", ["rim", "rom", "rotm"])
+    def test_rows_are_born_probabilities_of_the_scalar_samplers(self, scenario):
+        # a noisy partially entangled state, so that every term counts
+        state = NoisyState.from_ratio(0.6, 0.9)
+        s = 3 if scenario == "rotm" else 2
+        worst_coords = worst_probs = 0.0
+        for lo, hi in self.RANGES:
+            rows = mc._SETTINGS_FROM_UNIFORMS[scenario](uniform_block(17, lo, hi))
+            probs = mc._probabilities(state, s, rows.copy())
+            for k, trial in enumerate(range(lo, hi)):
+                a_dirs, b_dirs = _exact_directions(scenario, 17, trial)
+                a, b = np.stack([d.n for d in a_dirs]), np.stack([d.n for d in b_dirs])
+                expect = np.concatenate([(a[:, None, :2] * b[None, :, :2]).sum(-1).ravel(),
+                                         a[:, 2], b[:, 2]])
+                worst_coords = max(worst_coords, np.abs(rows[:, k] - expect).max())
+                pa = [projector_from_direction(d) for d in a_dirs]
+                pb = [projector_from_direction(d) for d in b_dirs]
+                born = ([joint_probability(state, m_a, m_b) for m_a in pa for m_b in pb]
+                        + [marginal_probability(state, m, "A") for m in pa]
+                        + [marginal_probability(state, m, "B") for m in pb])
+                worst_probs = max(worst_probs, np.abs(probs[:, k] - born).max())
+        assert worst_coords < 1e-12
+        assert worst_probs < 1e-12
 
 
 class TestWorkerIndependence:
@@ -317,12 +352,14 @@ class TestWorkerIndependence:
         np.testing.assert_array_equal(a.curve.p_viol, b.curve.p_viol)
         np.testing.assert_array_equal(a.curve.ci_low, b.curve.ci_low)
         # summaries agree except for the fields that name the run itself
-        sa = {k: v for k, v in a.summary.items() if k not in ("wall_time_s", "config")}
-        sb = {k: v for k, v in b.summary.items() if k not in ("wall_time_s", "config")}
+        named = ("wall_time_s", "config", "manifest")
+        sa = {k: v for k, v in a.summary.items() if k not in named}
+        sb = {k: v for k, v in b.summary.items() if k not in named}
         assert sa == sb
-        ca = {k: v for k, v in a.summary["config"].items() if k != "workers"}
-        cb = {k: v for k, v in b.summary["config"].items() if k != "workers"}
-        assert ca == cb
+        for key in ("config", "manifest"):
+            ca = {k: v for k, v in a.summary[key].items() if k != "workers"}
+            cb = {k: v for k, v in b.summary[key].items() if k != "workers"}
+            assert ca == cb
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_collect_keeps_violating_trials_in_order(self, workers):
@@ -444,6 +481,51 @@ class TestAbort:
                 run_experiment(config)
             assert info.value.completed_trials == mc.CHUNK_TRIALS
             assert info.value.trials == 3 * mc.CHUNK_TRIALS
+
+
+def _interrupt_at(call):
+    """A progress callback that raises KeyboardInterrupt on its call-th call,
+    as Ctrl-C does while the chunk loop waits; it records every call."""
+    calls = []
+
+    def progress(done, total, elapsed):
+        calls.append((done, total))
+        if len(calls) == call:
+            raise KeyboardInterrupt
+
+    return progress, calls
+
+
+class TestInterrupt:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_aborts_with_trials_completed_in_order(self, workers):
+        progress, calls = _interrupt_at(2)
+        config = ScenarioConfig(scenario="rim", trials=3 * mc.CHUNK_TRIALS, workers=workers)
+        with pytest.raises(ExperimentAborted, match="^interrupted$") as info:
+            run_experiment(config, progress=progress)
+        assert isinstance(info.value.__cause__, KeyboardInterrupt)
+        assert info.value.completed_trials == 2 * mc.CHUNK_TRIALS
+        assert info.value.trials == 3 * mc.CHUNK_TRIALS
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("call,completed,runs", [(1, 1, 1), (3, 3, 2)])
+    def test_sweep_stops_at_the_interrupt(self, monkeypatch, call, completed, runs):
+        # two configs of two chunks each, interrupted in the first or the second
+        started = []
+        original = mc.run_experiment
+
+        def counting(config, progress=None):
+            started.append(config)
+            return original(config, progress=progress)
+
+        monkeypatch.setattr(mc, "run_experiment", counting)
+        progress, _calls = _interrupt_at(call)
+        config = ScenarioConfig(scenario="rim", trials=2 * mc.CHUNK_TRIALS)
+        with pytest.raises(ExperimentAborted, match="^interrupted$") as info:
+            sweep([config, config], progress=progress)
+        assert len(started) == runs
+        assert info.value.completed_trials == completed * mc.CHUNK_TRIALS
+        assert info.value.trials == 4 * mc.CHUNK_TRIALS
 
 
 class TestWilson:

@@ -138,6 +138,8 @@ class TestJointProbability:
     def test_bad_party(self):
         with pytest.raises(ValueError):
             marginal_probability(MES, ZP, "C")
+        with pytest.raises(ValueError):
+            marginal_outcome0(MES, np.zeros(3), "C")
 
 
 N_SAMPLES = 10_000
@@ -181,13 +183,14 @@ class TestProbabilityInvariants:
             pa = projector_from_direction(MeasurementDirection(na[i]))
             pb = projector_from_direction(MeasurementDirection(nb[i]))
             exact = joint_probability(state, pa, pb)
-            fast = float(joint_outcome00(state, na[i], nb[i]))
+            inplane = na[i, 0] * nb[i, 0] + na[i, 1] * nb[i, 1]
+            fast = float(joint_outcome00(state, na[i, 2], nb[i, 2], inplane))
             worst = max(worst, abs(exact - fast))
             ma = marginal_probability(state, pa, "A")
-            fa = float(marginal_outcome0(state, na[i], "A"))
+            fa = float(marginal_outcome0(state, na[i, 2], "A"))
             worst = max(worst, abs(ma - fa))
             mb = marginal_probability(state, pb, "B")
-            fb = float(marginal_outcome0(state, nb[i], "B"))
+            fb = float(marginal_outcome0(state, nb[i, 2], "B"))
             worst = max(worst, abs(mb - fb))
         assert worst < 1e-12
 

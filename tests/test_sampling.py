@@ -1,5 +1,8 @@
 """Sampler correctness: pinned generator values, determinism, and
-distributional properties of the direction samplers."""
+distributional properties of the direction samplers, checked on the
+batched primitives the scalar samplers use."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -10,13 +13,13 @@ from scipy import stats
 from randbell.sampling import (
     MeasurementTriad,
     RandomSource,
+    _rotation_from_quaternion_uniforms,
     direction_from_angles,
-    rim_settings_from_uniforms,
-    rom_settings_from_uniforms,
-    rotm_settings_from_uniforms,
+    rim_coordinates,
     sample_direction,
     sample_orthogonal_pair,
     sample_orthogonal_triad,
+    triad_coordinates,
     uniform_block,
 )
 
@@ -114,12 +117,16 @@ class TestDirectionFromAngles:
 
 
 def _directions(scenario, n, seed=0):
+    """Each party's directions of trials [0, n), shape (n, s, 3), from the
+    batched primitives of the scalar samplers, on the same uniform columns."""
     u = uniform_block(seed, 0, n)
-    return {
-        "rim": rim_settings_from_uniforms,
-        "rom": rom_settings_from_uniforms,
-        "rotm": rotm_settings_from_uniforms,
-    }[scenario](u)
+    if scenario == "rim":
+        return (direction_from_angles(u[:, 0:4:2], u[:, 1:4:2]),
+                direction_from_angles(u[:, 4:8:2], u[:, 5:8:2]))
+    s = 3 if scenario == "rotm" else 2
+    # row k of a trial is the image of the k-th coordinate axis
+    return tuple(_rotation_from_quaternion_uniforms(u[:, k:k + 4]).transpose(0, 2, 1)[:, :s]
+                 for k in (0, 4))
 
 
 def _ks_uniform_nz(nz):
@@ -192,10 +199,14 @@ class TestOrthogonalPair:
         assert abs(float(d1.n @ d2.n)) < 1e-10
 
     def test_first_two_axes_of_the_triad(self):
-        # ROM is ROTM restricted to two settings per party, bit for bit
+        # ROM is ROTM restricted to two settings per party, bit for bit: the
+        # coordinate rows (in-plane products, z_A, z_B) and the scalar API
         u = uniform_block(5, 0, 4096)
-        for pair, triad in zip(rom_settings_from_uniforms(u), rotm_settings_from_uniforms(u)):
-            np.testing.assert_array_equal(pair, triad[:, :2])
+        rom, rotm = triad_coordinates(u, 2), triad_coordinates(u, 3)
+        np.testing.assert_array_equal(rom[:4].reshape(2, 2, -1),
+                                      rotm[:9].reshape(3, 3, -1)[:2, :2])
+        np.testing.assert_array_equal(rom[4:6], rotm[9:11])
+        np.testing.assert_array_equal(rom[6:8], rotm[12:14])
         d1, d2 = sample_orthogonal_pair(RandomSource(5, 9))
         triad = sample_orthogonal_triad(RandomSource(5, 9))
         np.testing.assert_array_equal(np.stack([d1.n, d2.n]), triad.as_array()[:2])
@@ -241,6 +252,22 @@ class TestOrthogonalTriad:
         assert _ks_uniform_nz(triads[:, 0, 2]) < 0.005
         assert _ks_uniform_nz(triads[:, 1, 2]) < 0.005
 
+    def test_zero_quaternion_is_the_identity(self):
+        # u0 = u2 = 0 zeroes party A's Gaussian quaternion; the coordinate
+        # rows take the identity rotation for it, as the scalar sampler does
+        u = uniform_block(3, 0, 4)
+        u[:, [0, 2]] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = triad_coordinates(u, 3)
+        _, b = _directions("rotm", 4, seed=3)
+        a = _rotation_from_quaternion_uniforms(u[:, 0:4]).transpose(0, 2, 1)
+        np.testing.assert_array_equal(a, np.broadcast_to(np.eye(3), a.shape))
+        inplane = (a[:, :, None, :2] * b[:, None, :, :2]).sum(-1).reshape(4, 9)
+        np.testing.assert_allclose(rows[:9], inplane.T, atol=1e-12)
+        np.testing.assert_allclose(rows[9:12], a[:, :, 2].T, atol=1e-12)
+        np.testing.assert_allclose(rows[12:], b[:, :, 2].T, atol=1e-12)
+
     def test_scalar_api_validates(self):
         triad = sample_orthogonal_triad(RandomSource(1, 5))
         assert isinstance(triad, MeasurementTriad)
@@ -258,11 +285,10 @@ class TestOrthogonalTriad:
 
 class TestReproducibility:
     def test_full_settings_bit_identical(self):
-        for scenario in ("rim", "rom", "rotm"):
-            a1, b1 = _directions(scenario, 500, seed=11)
-            a2, b2 = _directions(scenario, 500, seed=11)
-            np.testing.assert_array_equal(a1, a2)
-            np.testing.assert_array_equal(b1, b2)
+        for settings in (rim_coordinates, lambda u: triad_coordinates(u, 2),
+                         lambda u: triad_coordinates(u, 3)):
+            np.testing.assert_array_equal(settings(uniform_block(11, 0, 500)),
+                                          settings(uniform_block(11, 0, 500)))
 
     def test_rows_independent_of_batch_split(self):
         u_all = uniform_block(42, 0, 100)
