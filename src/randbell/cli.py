@@ -25,6 +25,7 @@ import numpy as np
 from . import chsh, sampling
 from .errors import NumericalConsistencyError
 from .montecarlo import (
+    CHUNK_TRIALS,
     ExperimentAborted,
     ExperimentResult,
     ScenarioConfig,
@@ -258,10 +259,15 @@ def _ks_uniform_nz(nz: np.ndarray) -> float:
 
 def _sampler_nz(scenario: str, seed: int, n: int) -> np.ndarray:
     """n_z of one of party A's settings in the kernel's coordinate rows: the
-    second for ROM, the first for the rest."""
-    rows = _SETTINGS_FROM_UNIFORMS[scenario](sampling.uniform_block(seed, 0, n))
+    second for ROM, the first for the rest.  The map is elementwise per
+    trial, so it runs a chunk at a time and keeps only that row."""
     s = 3 if scenario == "rotm" else 2
-    return rows[s * s + (1 if scenario == "rom" else 0)]
+    row = s * s + (1 if scenario == "rom" else 0)
+    nz = np.empty(n)
+    for lo in range(0, n, CHUNK_TRIALS):
+        hi = min(lo + CHUNK_TRIALS, n)
+        nz[lo:hi] = _SETTINGS_FROM_UNIFORMS[scenario](sampling.uniform_block(seed, lo, hi))[row]
+    return nz
 
 
 def _exact_settings(scenario: str, seed: int, trial: int):
@@ -322,34 +328,38 @@ def cmd_verify(args) -> int:
                      f"KS distance of n_z = {ks:.5f} (limit 0.005)")
 
     # Exact-route cross-check and threshold consistency on violating trials,
-    # through the kernel for this many settings: RIM for 2, ROTM for 3.
-    config = ScenarioConfig(scenario="rim" if settings == 2 else "rotm",
-                            alpha_ratio=1.0, trials=1, master_seed=args.seed)
-    checked = 0
-    max_di = 0.0
-    max_de = 0.0
-    sign_ok = True
-    trial = 0
-    while checked < 500 and trial < 20_000:
-        outcome = run_trial(config, trial)
-        table = chsh.build_probability_table(
-            config.state, *_exact_settings(config.scenario, config.master_seed, trial))
-        record = chsh.max_violation(table, forms)
-        max_di = max(max_di, abs(record.i_value - outcome.i_max))
-        if outcome.violated:
-            checked += 1
-            max_de = max(max_de, abs(record.eta_req - outcome.eta_req))
-            above = chsh.efficiency_corrected_value(table, record.form,
-                                                    record.eta_req + 1e-6)
-            below = chsh.efficiency_corrected_value(table, record.form,
-                                                    record.eta_req - 1e-6)
-            sign_ok &= above > 0.0 > below
-        trial += 1
-    ok &= _check("kernel vs exact route",
-                 max_di <= 1e-12 and max_de <= 1e-10,
-                 f"|dI| <= {max_di:.2e}, |d eta| <= {max_de:.2e} over {trial} trials")
-    ok &= _check("threshold sign flip", sign_ok,
-                 f"corrected value sign at eta_req +- 1e-6 on {checked} violating trials")
+    # through the kernel for this many settings: RIM for 2, ROTM for 3.  The
+    # state is partially entangled and noisy, so N differs between the forms
+    # of a setting choice; the selection policy matters for ROTM only.
+    scenario = "rim" if settings == 2 else "rotm"
+    for policy in ("max-i", "min-eta") if settings == 3 else ("max-i",):
+        config = ScenarioConfig(scenario=scenario, alpha_ratio=0.6, visibility=0.95,
+                                trials=1, master_seed=args.seed, selection_policy=policy)
+        checked = 0
+        max_di = 0.0
+        max_de = 0.0
+        sign_ok = True
+        trial = 0
+        while checked < 500 and trial < 20_000:
+            outcome = run_trial(config, trial)
+            table = chsh.build_probability_table(
+                config.state, *_exact_settings(scenario, config.master_seed, trial))
+            record = chsh.max_violation(table, forms, policy=policy)
+            max_di = max(max_di, abs(record.i_value - outcome.i_max))
+            if outcome.violated:
+                checked += 1
+                max_de = max(max_de, abs(record.eta_req - outcome.eta_req))
+                above = chsh.efficiency_corrected_value(table, record.form,
+                                                        record.eta_req + 1e-6)
+                below = chsh.efficiency_corrected_value(table, record.form,
+                                                        record.eta_req - 1e-6)
+                sign_ok &= above > 0.0 > below
+            trial += 1
+        ok &= _check(f"kernel vs exact route ({policy})",
+                     max_di <= 1e-12 and max_de <= 1e-10,
+                     f"|dI| <= {max_di:.2e}, |d eta| <= {max_de:.2e} over {trial} trials")
+        ok &= _check(f"threshold sign flip ({policy})", sign_ok,
+                     f"corrected value sign at eta_req +- 1e-6 on {checked} violating trials")
 
     # Table invariants via the exact route on random states, with the
     # settings sampler of the cross-check above.
@@ -359,7 +369,7 @@ def cmd_verify(args) -> int:
         ratio = float(rng_np.uniform(0.2, 1.0))
         vis = float(rng_np.choice([1.0, rng_np.uniform(0.0, 1.0)]))
         state = NoisyState.from_ratio(ratio, vis)
-        directions = _exact_settings(config.scenario, args.seed + 3,
+        directions = _exact_settings(scenario, args.seed + 3,
                                      int(rng_np.integers(0, 2 ** 32)))
         try:
             chsh.build_probability_table(state, *directions).validate()

@@ -15,12 +15,15 @@ direction: the chunk's uniforms come from the counter-based generator in
 one shot, the scenario's map in `sampling` turns them straight into
 correlator-coordinate rows (each setting's z-component and each setting
 pair's in-plane product), the closed-form route in `quantum` turns those
-into probability rows, and each form's value is streamed as a signed sum
-of probability rows (every coefficient is -1, 0 or +1) into a running
-winner, so no per-form matrix is built and no BLAS call is made.  The
-exact operator route in `quantum`/`chsh`, fed by the scalar samplers'
-directions, computes the same numbers one trial at a time and serves as
-the independent cross-check (see tests and the CLI verify command).
+into probability rows, and the forms follow in closed form too: on each
+choice of two settings per party they are the CHSH expressions
+(+-S_k - 2)/4, so each run of forms that share the marginal part N needs
+one min or max of the choice's correlator rows (`_form_tables`), and the
+runs go into a running winner in form order.  No per-form sum or matrix is
+built and no BLAS call is made.  The exact operator route in
+`quantum`/`chsh`, fed by the scalar samplers' directions, computes the
+same numbers one trial at a time and serves as the independent
+cross-check (see tests and the CLI verify command).
 """
 
 from __future__ import annotations
@@ -208,24 +211,46 @@ def wilson_interval(successes: int, total: int, z: float = _WILSON_Z):
 
 @lru_cache(maxsize=None)
 def _form_tables(settings_per_party: int):
-    """Per form, the constant and the signed coordinate terms of I and of N.
+    """The forms of `chsh.enumerate_forms`, in runs for the closed-form stage.
 
-    A term is (np.add or np.subtract, coordinate row), in coordinate order;
-    every coefficient of `chsh.form_coefficients` is -1, 0 or +1.  The
-    marginal coefficients n_a and n_b are returned as well, for N of the
-    winning form.
+    Write D = 2E = 8 p00 - 4 pA0 - 4 pB0 + 2 for each setting pair.  Every
+    form is I = (sign * S_k - 2) / 4 on the four pairs of its setting
+    choice, with S_k = T - D_k and T = sum(D) / 2 over the choice (the CHSH
+    expressions): its p00 coefficients are sign on three of the pairs and
+    -sign on the fourth, k.  A run is a stretch of consecutive forms of one
+    choice that share N.
+
+    Returns (choices, n_const, terms).  Each choice is (its four pair rows,
+    its runs); a run is (the k of its forms of sign +1, those of sign -1).
+    Runs are numbered in form order across choices.  A run's N is its
+    n_const plus, for each (coordinate row, coefficients) of terms, its
+    coefficient (-1, 0 or +1) times that marginal row; terms lists every
+    marginal row some run uses, pA0 rows before pB0 rows.
     """
     s = settings_per_party
-    const, weights, n_const, n_a, n_b = chsh.form_coefficients(chsh.enumerate_forms(s), s)
-    n_weights = np.concatenate([np.zeros((len(const), s * s)), n_a, n_b], axis=1).T
-
-    def terms(column):
-        return tuple((np.add if c > 0 else np.subtract, row)
-                     for row, c in enumerate(column) if c)
-
-    i_terms = tuple(terms(column) for column in weights.T)
-    n_terms = tuple(terms(column) for column in n_weights.T)
-    return const, i_terms, n_const, n_terms, n_a, n_b
+    _, weights, n_const, n_a, n_b = chsh.form_coefficients(chsh.enumerate_forms(s), s)
+    n_key = np.concatenate([n_const[:, None], n_a, n_b], axis=1)
+    choices = []
+    run_forms = []  # the first form of each run
+    last = None
+    for f, column in enumerate(weights.T):
+        pairs = tuple(np.flatnonzero(column[:s * s]).tolist())
+        sign = column[list(pairs)].sum() / 2
+        k = next(pair for pair in pairs if column[pair] == -sign)
+        key = (pairs, tuple(n_key[f]))
+        if key != last:
+            if not choices or choices[-1][0] != pairs:
+                choices.append((pairs, []))
+            choices[-1][1].append(([], []))
+            run_forms.append(f)
+            last = key
+        choices[-1][1][-1][0 if sign > 0 else 1].append(k)
+    choices = tuple((pairs, tuple((tuple(plus), tuple(minus)) for plus, minus in runs))
+                    for pairs, runs in choices)
+    n_weights = np.concatenate([n_a, n_b], axis=1)[run_forms]
+    terms = tuple((s * s + row, n_weights[:, row])
+                  for row in range(2 * s) if n_weights[:, row].any())
+    return choices, n_const[run_forms], terms
 
 
 # Each scenario's map from a (B, 8) uniform block to its coordinate rows
@@ -235,13 +260,6 @@ _SETTINGS_FROM_UNIFORMS = {
     "rom": partial(sampling.triad_coordinates, settings=2),
     "rotm": partial(sampling.triad_coordinates, settings=3),
 }
-
-
-def _signed_sum(out, start, coords, terms):
-    """out = start, then each term's coordinate row added or subtracted in turn."""
-    out.fill(start)
-    for op, row in terms:
-        op(out, coords[row], out=out)
 
 
 def _probabilities(state: NoisyState, settings_per_party: int, rows: np.ndarray):
@@ -272,58 +290,103 @@ def _evaluate_chunk(config: ScenarioConfig, lo: int, hi: int):
     return _forms_winner(coords, s, config.selection_policy)
 
 
-def _forms_winner(coords, settings_per_party: int, policy: str):
-    """(i_max, eta_req) of each trial (column) of the coordinate rows.
+def _extreme(ufunc, d, rows, out):
+    """ufunc (np.minimum or np.maximum) over the given rows of d, in out;
+    a lone row is returned as it is."""
+    if len(rows) == 1:
+        return d[rows[0]]
+    ufunc(d[rows[0]], d[rows[1]], out=out)
+    for row in rows[2:]:
+        ufunc(out, d[row], out=out)
+    return out
 
-    Forms are taken in index order and a winner is replaced only on a strict
-    improvement, so ties go to the lowest index.
+
+def _forms_winner(coords, settings_per_party: int, policy: str):
+    """(i_max, eta_req) of each trial (column) of the probability rows.
+
+    Each run of `_form_tables` is one candidate: its forms share N, and
+    their best S is max(T - min D_k, max D_k - T) over its forms of sign +1
+    and -1, with no per-form sum.  I = S / 4 - 1/2 rounds monotonically
+    (and exactly where I >= -1/4), so the best I is that of the best S.
+    Runs are taken in form order and a winner is replaced only on a strict
+    improvement, so ties go to the lowest form index; as runs are numbered
+    in order, the winner is the largest run number that improved, kept
+    with a maximum rather than a masked copy, whose cost grows with how
+    mixed its mask is.  Under min-eta each run with I > 0 competes on its
+    eta_req = N / (I + N) instead.  The input rows are only read.
     """
     s = settings_per_party
-    const, i_terms, n_const, n_terms, n_a, n_b = _form_tables(s)
+    choices, n_const, terms = _form_tables(s)
     batch = coords.shape[1]
+    d = np.multiply(coords[:s * s], 8.0)
+    d_xy = d.reshape(s, s, batch)
+    d_xy -= 4.0 * coords[s * s:s * s + s, None]
+    d_xy -= 4.0 * coords[None, s * s + s:]
+    d += 2.0
     min_eta = policy == "min-eta"
+    t = np.empty(batch)
     value = np.empty(batch)
+    spare = np.empty(batch)
     better = np.empty(batch, dtype=bool)
-    i_best = np.full(batch, -np.inf)
-    winner = np.zeros(batch, dtype=np.intp)
+    better_01 = better.view(np.uint8)
+    step = np.empty(batch, dtype=np.uint8)
+    s_best = np.full(batch, -np.inf)
+    winner = np.zeros(batch, dtype=np.uint8)
     if min_eta:
+        i_value = np.empty(batch)
         n_value = np.empty(batch)
-        denom = np.empty(batch)
-        eta_f = np.empty(batch)
+        violating = np.empty(batch, dtype=bool)
         eta_best = np.full(batch, np.inf)
-        eta_winner = np.zeros(batch, dtype=np.intp)
         eta_i = np.empty(batch)
-    for f, terms in enumerate(i_terms):
-        _signed_sum(value, 0.0, coords, terms)
-        value += const[f]
-        np.greater(value, i_best, out=better)
-        np.copyto(i_best, value, where=better)
-        np.copyto(winner, f, where=better)
-        if min_eta:
-            _signed_sum(n_value, n_const[f], coords, n_terms[f])
-            eta_f.fill(np.inf)
-            np.greater(value, 0.0, out=better)
-            np.add(value, n_value, out=denom)
-            np.divide(n_value, denom, out=eta_f, where=better)
-            np.less(eta_f, eta_best, out=better)
-            np.copyto(eta_best, eta_f, where=better)
-            np.copyto(eta_winner, f, where=better)
-            np.copyto(eta_i, value, where=better)
+    run = 0
+    for pairs, runs in choices:
+        np.add(d[pairs[0]], d[pairs[1]], out=t)
+        t += d[pairs[2]]
+        t += d[pairs[3]]
+        t *= 0.5
+        for plus, minus in runs:
+            # value = max(t - min D[plus], max D[minus] - t); a run may
+            # have forms of one sign only
+            if plus:
+                np.subtract(t, _extreme(np.minimum, d, plus, value), out=value)
+            if minus:
+                side = spare if plus else value
+                np.subtract(_extreme(np.maximum, d, minus, side), t, out=side)
+                if plus:
+                    np.maximum(value, spare, out=value)
+            if min_eta:
+                np.multiply(value, 0.25, out=i_value)
+                i_value -= 0.5
+                n_value.fill(n_const[run])
+                for row, coefficient in terms:
+                    if coefficient[run]:
+                        (np.add if coefficient[run] > 0 else np.subtract)(
+                            n_value, coords[row], out=n_value)
+                np.add(i_value, n_value, out=spare)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    np.divide(n_value, spare, out=spare)
+                np.less(spare, eta_best, out=better)
+                np.greater(i_value, 0.0, out=violating)
+                better &= violating
+                np.copyto(eta_best, spare, where=better)
+                np.copyto(eta_i, i_value, where=better)
+            else:
+                np.greater(value, s_best, out=better)
+            np.maximum(s_best, value, out=s_best)
+            np.multiply(better_01, run, out=step)
+            np.maximum(winner, step, out=winner)
+            run += 1
 
-    violated = i_best > 0.0
+    i_max = s_best * 0.25 - 0.5
+    violated = i_max > 0.0
     if min_eta:
-        # a trial with no violating form keeps its max-i winner
-        winner = np.where(violated, eta_winner, winner)
-        i_max = np.where(violated, eta_i, i_best)
-    else:
-        i_max = i_best
-    pa0 = coords[s * s:s * s + s].T
-    pb0 = coords[s * s + s:].T
-    n_win = (
-        n_const[winner]
-        + np.einsum("bx,bx->b", pa0, n_a[winner])
-        + np.einsum("bx,bx->b", pb0, n_b[winner])
-    )
+        # a trial with no violating form keeps its max-i value
+        i_max = np.where(violated, eta_i, i_max)
+    # each trial's N term by term, as `chsh.form_coefficients` sums it: its
+    # one nonzero pA0 term, then its pB0 term; adding the zero terms is exact
+    n_win = n_const.take(winner)
+    for row, coefficient in terms:
+        n_win += coefficient.take(winner) * coords[row]
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = np.where(violated, n_win / (i_max + n_win), np.nan)
     return i_max, eta

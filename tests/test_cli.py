@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import randbell
@@ -246,10 +247,20 @@ class TestVerify:
         assert code == 0
         assert "72 distinct forms" in out
         lines = out.splitlines()
-        for check in ("kernel vs exact route", "threshold sign flip", "table invariants"):
+        checks = [f"{check} ({policy})" for policy in ("max-i", "min-eta")
+                  for check in ("kernel vs exact route", "threshold sign flip")]
+        for check in checks + ["table invariants"]:
             line = next(line for line in lines if line.startswith(check + ":"))
             assert line.endswith("PASS"), line
         assert "on 2000 random 3-setting tables" in line, line
+
+    @pytest.mark.parametrize("scenario,row", [("rim", 4), ("rom", 5), ("rotm", 9)])
+    def test_sampler_nz_chunks_equal_one_block(self, scenario, row):
+        # verify's KS sample is mapped a chunk at a time; the map is
+        # elementwise per trial, so the sample is the one-block row
+        n = 2 * mc.CHUNK_TRIALS + 123
+        rows = mc._SETTINGS_FROM_UNIFORMS[scenario](randbell.sampling.uniform_block(5, 0, n))
+        np.testing.assert_array_equal(cli._sampler_nz(scenario, 5, n), rows[row])
 
     def test_exact_settings_match_the_rom_kernel(self):
         # verify runs the RIM and ROTM kernels; ROM takes two triad axes

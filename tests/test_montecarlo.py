@@ -1,6 +1,7 @@
 """Orchestration checks: determinism, kernel vs exact-route agreement,
 aggregation invariants, and worker-count independence."""
 
+import itertools
 import time
 
 import numpy as np
@@ -238,15 +239,39 @@ class TestChunkKernel:
     @pytest.mark.parametrize("policy", ["max-i", "min-eta"])
     @pytest.mark.parametrize("visibility", [0.9, 0.0])
     def test_equals_dense_reference(self, scenario, policy, visibility):
-        # Exact: every coefficient is -1, 0 or +1 and both sides add the
-        # rows in coordinate order.  At visibility 0 every form ties.
+        # The closed form sums the rows in another order than the dense
+        # matmul, so the values may differ in the last ulp, but no trial may
+        # change its violation.  At visibility 0 every form ties.
         config = ScenarioConfig(scenario=scenario, alpha_ratio=0.6, visibility=visibility,
                                 master_seed=31, selection_policy=policy)
         for lo, hi in ((0, 4096), (70_000, 70_500)):
             i_max, eta = _evaluate_chunk(config, lo, hi)
             ref_i, ref_eta = _dense_chunk(config, lo, hi)
-            np.testing.assert_array_equal(i_max, ref_i)
-            np.testing.assert_array_equal(eta, ref_eta)
+            np.testing.assert_array_equal(i_max > 0.0, ref_i > 0.0)
+            np.testing.assert_array_equal(np.isnan(eta), np.isnan(ref_eta))
+            assert np.abs(i_max - ref_i).max() <= 1e-15
+            violated = ~np.isnan(eta)
+            assert np.abs(eta[violated] - ref_eta[violated]).max(initial=0.0) <= 1e-15
+
+    @pytest.mark.parametrize("s", [2, 3])
+    @pytest.mark.parametrize("policy", ["max-i", "min-eta"])
+    def test_equals_dense_reference_on_tables_in_64ths(self, s, policy):
+        # Every sum is exact on these tables, so both routes must agree bit
+        # for bit, ties included (exact ties between setting choices are
+        # common).  p00 is drawn within its Frechet bounds.
+        rng = np.random.default_rng(64 + s)
+        n = 100_000
+        pa0 = rng.integers(0, 65, size=(s, n))
+        pb0 = rng.integers(0, 65, size=(s, n))
+        low = np.maximum(0, pa0[:, None] + pb0[None] - 64)
+        high = np.minimum(pa0[:, None], pb0[None])
+        p00 = low + (rng.random(low.shape) * (high - low + 1)).astype(np.int64)
+        coords = np.concatenate([p00.reshape(s * s, n), pa0, pb0]) / 64
+        i_max, eta = mc._forms_winner(coords, s, policy)
+        ref_i, ref_eta = _dense_winner(coords.T, s, policy)
+        np.testing.assert_array_equal(i_max, ref_i)
+        np.testing.assert_array_equal(eta, ref_eta)
+        assert (i_max > 0.0).any() and (i_max <= 0.0).any()
 
     @pytest.mark.parametrize("s", [2, 3])
     @pytest.mark.parametrize("policy", ["max-i", "min-eta"])
@@ -308,6 +333,50 @@ class TestChunkKernel:
         config = ScenarioConfig(scenario="rom", master_seed=3)
         with pytest.raises(NumericalConsistencyError, match="trial 1005"):
             _evaluate_chunk(config, 1000, 1100)
+
+
+class TestFormTables:
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_setting_choices_split_into_two_n_classes(self, s):
+        # Each setting choice {x0, x1} x {y0, y1}, x0 < x1 and y0 < y1, owns 8
+        # consecutive forms, in lexicographic order.  Number its pairs
+        # k = 0..3 as (x0, y0), (x0, y1), (x1, y0), (x1, y1); (x0, y0) is the
+        # pair whose marginals make N.  The 4 forms of class 0, with
+        # N = pA0(x0) + pB0(y0), are S1, S2, S3 and -S0, the 4 of class 1, with
+        # N = 1 + pA0(x0) - pB0(y0), are S0, -S1, -S2 and -S3, and each is
+        # I = (S - 2) / 4 with S_k = T - D_k, T = sum(D) / 2 and
+        # D = 8 p00 - 4 pA0 - 4 pB0 + 2.  Within a block the forms come as
+        # (class, sign, k) below, which sets the stage's runs.
+        order = [(0, 1, 3), (0, 1, 1), (1, -1, 1), (1, -1, 3),
+                 (0, 1, 2), (0, -1, 0), (1, 1, 0), (1, -1, 2)]
+        n_classes = [(0.0, 1.0), (1.0, -1.0)]  # (n_const, n_b[y0]); n_a[x0] = 1
+        const, weights, n_const, n_a, n_b = form_coefficients(enumerate_forms(s), s)
+        one = np.eye(s * s + 2 * s + 1)[-1]  # over (coordinates, constant)
+        blocks = [(xs, ys) for xs in itertools.combinations(range(s), 2)
+                  for ys in itertools.combinations(range(s), 2)]
+        assert len(const) == 8 * len(blocks)
+        for first, ((x0, x1), (y0, y1)) in zip(range(0, len(const), 8), blocks):
+            pairs = [(x0, y0), (x0, y1), (x1, y0), (x1, y1)]
+            d = np.zeros((4, len(one)))
+            for k, (x, y) in enumerate(pairs):
+                d[k, [x * s + y, s * s + x, s * s + s + y, -1]] = 8, -4, -4, 2
+            t = d.sum(axis=0) / 2
+            for f, (n_class, sign, k) in zip(range(first, first + 8), order):
+                n_const_f, n_b_f = n_classes[n_class]
+                assert n_const[f] == n_const_f
+                np.testing.assert_array_equal(n_a[f], np.eye(s)[x0])
+                np.testing.assert_array_equal(n_b[f], n_b_f * np.eye(s)[y0])
+                np.testing.assert_array_equal(np.append(weights[:, f], const[f]),
+                                              (sign * (t - d[k]) - 2 * one) / 4)
+        # the stage's tables: per choice, its pairs and 4 runs, one per
+        # stretch of consecutive forms of one class
+        tables = mc._form_tables(s)[0]
+        assert [pairs for pairs, _ in tables] == [
+            (x0 * s + y0, x0 * s + y1, x1 * s + y0, x1 * s + y1)
+            for (x0, x1), (y0, y1) in blocks]
+        pairs = tables[0][0]
+        assert tables[0][1] == (((pairs[3], pairs[1]), ()), ((), (pairs[1], pairs[3])),
+                                ((pairs[2],), (pairs[0],)), ((pairs[0],), (pairs[2],)))
 
 
 class TestCoordinateRows:
