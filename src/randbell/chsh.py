@@ -84,24 +84,20 @@ class ProbabilityTable:
         object.__setattr__(self, "marg_a", marg_a)
         object.__setattr__(self, "marg_b", marg_b)
 
-    @property
-    def nsettings(self) -> int:
-        return self.joint.shape[-1]
-
-    def validate(self, atol: float = TABLE_ATOL) -> None:
+    def validate(self) -> None:
         """Probability range, normalization per setting pair, no-signaling."""
         for arr in (self.joint, self.marg_a, self.marg_b):
             if arr.min() < -DEFAULT_ATOL or arr.max() > 1.0 + DEFAULT_ATOL:
                 raise NumericalConsistencyError("table entry outside [0, 1]")
         totals = self.joint.sum(axis=(0, 1))
-        if np.abs(totals - 1.0).max() > atol:
+        if np.abs(totals - 1.0).max() > TABLE_ATOL:
             raise NumericalConsistencyError("joint outcomes do not sum to 1")
         # Marginals must match row sums for every setting of the other party.
         row_a = self.joint.sum(axis=1)            # (a, x, y)
         row_b = self.joint.sum(axis=0)            # (b, x, y)
-        if np.abs(row_a - self.marg_a[:, :, None]).max() > atol:
+        if np.abs(row_a - self.marg_a[:, :, None]).max() > TABLE_ATOL:
             raise NumericalConsistencyError("no-signaling violated for party A")
-        if np.abs(row_b - self.marg_b[:, None, :]).max() > atol:
+        if np.abs(row_b - self.marg_b[:, None, :]).max() > TABLE_ATOL:
             raise NumericalConsistencyError("no-signaling violated for party B")
 
 
@@ -126,9 +122,6 @@ class CHForm:
     def identity(cls) -> "CHForm":
         return cls(False, (0, 1), (0, 1), (False, False), (False, False))
 
-    def is_identity(self) -> bool:
-        return self == CHForm.identity()
-
 
 @dataclass(frozen=True)
 class ViolationRecord:
@@ -148,8 +141,7 @@ class ViolationRecord:
 
 def build_probability_table(state: NoisyState,
                             a_dirs: tuple[MeasurementDirection, ...],
-                            b_dirs: tuple[MeasurementDirection, ...],
-                            atol: float = TABLE_ATOL) -> ProbabilityTable:
+                            b_dirs: tuple[MeasurementDirection, ...]) -> ProbabilityTable:
     """Full outcome table for the given settings via the exact operator route.
 
     Outcome 1 uses the complement projector I - M.  Marginals are computed
@@ -158,23 +150,16 @@ def build_probability_table(state: NoisyState,
     s = len(a_dirs)
     if len(b_dirs) != s or s not in (2, 3):
         raise ValueError("need 2 or 3 directions per party")
-    proj_a = [projector_from_direction(d) for d in a_dirs]
-    proj_b = [projector_from_direction(d) for d in b_dirs]
+    # each setting's projectors, indexed by outcome
+    outcomes_a = [(p, p.complement) for p in map(projector_from_direction, a_dirs)]
+    outcomes_b = [(p, p.complement) for p in map(projector_from_direction, b_dirs)]
     joint = np.empty((2, 2, s, s))
-    for x, y in itertools.product(range(s), range(s)):
-        for a, b in itertools.product(range(2), range(2)):
-            ma = proj_a[x] if a == 0 else proj_a[x].complement
-            mb = proj_b[y] if b == 0 else proj_b[y].complement
-            joint[a, b, x, y] = joint_probability(state, ma, mb)
-    marg_a = np.empty((2, s))
-    marg_b = np.empty((2, s))
-    for x in range(s):
-        marg_a[0, x] = marginal_probability(state, proj_a[x], "A")
-        marg_a[1, x] = marginal_probability(state, proj_a[x].complement, "A")
-        marg_b[0, x] = marginal_probability(state, proj_b[x], "B")
-        marg_b[1, x] = marginal_probability(state, proj_b[x].complement, "B")
+    for a, b, x, y in itertools.product(range(2), range(2), range(s), range(s)):
+        joint[a, b, x, y] = joint_probability(state, outcomes_a[x][a], outcomes_b[y][b])
+    marg_a = [[marginal_probability(state, m[a], "A") for m in outcomes_a] for a in range(2)]
+    marg_b = [[marginal_probability(state, m[b], "B") for m in outcomes_b] for b in range(2)]
     table = ProbabilityTable(joint, marg_a, marg_b)
-    table.validate(atol)
+    table.validate()
     return table
 
 

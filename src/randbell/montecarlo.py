@@ -36,7 +36,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, partial
 from itertools import repeat
 
@@ -81,7 +81,6 @@ class ExperimentAborted(RuntimeError):
 
     def __init__(self, message: str, completed_trials: int, trials: int):
         super().__init__(message)
-        self.partial = True
         self.completed_trials = completed_trials
         self.trials = trials
 
@@ -133,21 +132,12 @@ class ScenarioConfig:
 
     def eta_grid_points(self) -> np.ndarray:
         start, stop, step = self.eta_grid
-        n = int(round((stop - start) / step)) + 1
+        # floor, not round: a count rounded up puts the last point past stop
+        n = math.floor((stop - start) / step + 1e-9) + 1
         return np.round(start + step * np.arange(n), 12)
 
     def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "alpha_ratio": self.alpha_ratio,
-            "visibility": self.visibility,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "histogram_bins": self.histogram_bins,
-            "eta_grid": list(self.eta_grid),
-            "selection_policy": self.selection_policy,
-            "workers": self.workers,
-        }
+        return {**asdict(self), "eta_grid": list(self.eta_grid)}
 
 
 @dataclass(frozen=True)
@@ -193,15 +183,15 @@ class SweepEntry:
     error: str | None = None
 
 
-def wilson_interval(successes: int, total: int, z: float = _WILSON_Z):
+def wilson_interval(successes: int, total: int):
     """95% Wilson score interval for a binomial proportion."""
     if total <= 0:
         raise ValueError("total must be positive")
     p = successes / total
-    z2 = z * z
+    z2 = _WILSON_Z * _WILSON_Z
     denom = 1.0 + z2 / total
     center = (p + z2 / (2.0 * total)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
+    half = _WILSON_Z * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
     # the interval contains the point estimate analytically; enforce it
     # against the last-ulp rounding at p = 0 and p = 1
     low = min(max(0.0, center - half), p)
@@ -396,10 +386,7 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     """Outcome of one trial; a pure function of (config, trial_index)."""
     if not (0 <= trial_index):
         raise ValueError("trial_index must be non-negative")
-    try:
-        i_max, eta = _evaluate_chunk(config, trial_index, trial_index + 1)
-    except NumericalConsistencyError as exc:
-        raise NumericalConsistencyError(f"trial {trial_index}: {exc}") from exc
+    i_max, eta = _evaluate_chunk(config, trial_index, trial_index + 1)
     violated = bool(i_max[0] > 0.0)
     return TrialOutcome(
         trial_index=trial_index,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,11 +101,13 @@ class NoisyState:
     def from_ratio(cls, alpha_over_beta: float, visibility: float = 1.0) -> "NoisyState":
         return cls(PureTwoQubitState.from_ratio(alpha_over_beta), visibility)
 
-    @property
+    @cached_property
     def density_matrix(self) -> np.ndarray:
+        """rho, built once per state and read-only."""
         psi = self.pure.amplitudes
         rho = self.visibility * np.outer(psi, psi.conj())
         rho += (1.0 - self.visibility) * 0.25 * np.eye(4)
+        rho.setflags(write=False)
         return rho
 
     @property
@@ -129,9 +132,6 @@ class MeasurementDirection:
         n = n.copy()
         n.setflags(write=False)
         object.__setattr__(self, "n", n)
-
-    def __neg__(self) -> "MeasurementDirection":
-        return MeasurementDirection(-self.n)
 
 
 @dataclass(frozen=True)
@@ -169,32 +169,30 @@ def projector_from_direction(direction: MeasurementDirection) -> Projector:
     return Projector(m)
 
 
-def _check_probability(value: complex, atol: float) -> float:
-    if abs(value.imag) > atol:
+def _check_probability(value: complex) -> float:
+    if abs(value.imag) > DEFAULT_ATOL:
         raise NumericalConsistencyError(
             f"probability has imaginary residue {value.imag!r}"
         )
     p = value.real
-    if p < -atol or p > 1.0 + atol:
+    if p < -DEFAULT_ATOL or p > 1.0 + DEFAULT_ATOL:
         raise NumericalConsistencyError(f"probability {p!r} outside [0, 1]")
     return p
 
 
-def joint_probability(state: NoisyState, m_a: Projector, m_b: Projector,
-                      atol: float = DEFAULT_ATOL) -> float:
+def joint_probability(state: NoisyState, m_a: Projector, m_b: Projector) -> float:
     """Born-rule joint probability tr(rho (m_a x m_b))."""
     value = np.trace(state.density_matrix @ np.kron(m_a.m, m_b.m))
-    return _check_probability(complex(value), atol)
+    return _check_probability(complex(value))
 
 
-def marginal_probability(state: NoisyState, m: Projector, party: str,
-                         atol: float = DEFAULT_ATOL) -> float:
+def marginal_probability(state: NoisyState, m: Projector, party: str) -> float:
     """Single-party outcome probability, tr(rho (m x I)) or tr(rho (I x m))."""
     if party not in ("A", "B"):
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
     op = np.kron(m.m, _IDENTITY2) if party == "A" else np.kron(_IDENTITY2, m.m)
     value = np.trace(state.density_matrix @ op)
-    return _check_probability(complex(value), atol)
+    return _check_probability(complex(value))
 
 
 # ---------------------------------------------------------------------------

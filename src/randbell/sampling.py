@@ -105,9 +105,6 @@ class MeasurementTriad:
         if np.abs(np.cross(vs[0], vs[1]) - vs[2]).max() > TABLE_ATOL:
             raise ValueError("triad is not right-handed (d1 x d2 != d3)")
 
-    def as_array(self) -> np.ndarray:
-        return np.stack([self.d1.n, self.d2.n, self.d3.n])
-
 
 def direction_from_angles(u, v) -> np.ndarray:
     """Bloch vector of sin(phi)|0> + e^{i v_phi} cos(phi)|1> for

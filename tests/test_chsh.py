@@ -77,7 +77,7 @@ class TestProbabilityTable:
     def test_three_setting_table(self):
         rng = np.random.default_rng(1)
         table = _random_table(rng, nsettings=3)
-        assert table.nsettings == 3
+        assert table.joint.shape == (2, 2, 3, 3)
         table.validate()
 
 
@@ -159,8 +159,8 @@ class TestEnumerateForms:
         assert len(FORMS3) == 72
 
     def test_identity_present_and_first(self):
-        assert FORMS2[0].is_identity()
-        assert any(f.is_identity() for f in FORMS3)
+        assert FORMS2[0] == CHForm.identity()
+        assert CHForm.identity() in FORMS3
 
     def test_unsupported_settings(self):
         with pytest.raises(ValueError):

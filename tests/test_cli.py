@@ -1,6 +1,7 @@
 """Command-line interface checks: file emission, determinism, exit codes."""
 
 import contextlib
+import hashlib
 import json
 import os
 import re
@@ -230,6 +231,34 @@ class TestSweep:
                      "--trials", "1000"]) == 1
         assert _run(["sweep", "--scenario", "rim", "--alpha-ratios", "abc",
                      "--trials", "1000"]) == 1
+
+
+class TestOutputDigests:
+    """The result tables of fixed configs, pinned by SHA-256.  131079 trials
+    make two full chunks and a partial one.  A change that alters these
+    bytes changes results: it must say so, and only then update the
+    digests."""
+
+    @pytest.mark.parametrize("flags,histogram,curve", [
+        (["--scenario", "rim"],
+         "ce7036bfa89c76c5eace36d2e9fc84ba391bd61853cac46ffb882e917e5f2435",
+         "c2511c3e4ec401b9aeb9867722052a16c059343b48e1ae7cdf9cb60a7f31dcb7"),
+        (["--scenario", "rom", "--alpha-ratio", "0.5", "--selection", "min-eta"],
+         "23ca73c093c83a5933b551d28c1ebbd8ec7ab09fd7cfb322f2567bc82a0018d0",
+         "c831657477cd2b77fd249cabf69a575a94a6740970a03be1a4609e7b4cca9c4e"),
+        (["--scenario", "rotm", "--alpha-ratio", "0.5", "--visibility", "0.95"],
+         "472eef58ff0ec15c4cd7e18d6de4cf9c912ce321a8a10370758b0ef39d35b06c",
+         "cd3ad77ff365dfbe6fbbeec26b93463e808e443508d99709578dc872f1a5c0be"),
+        (["--scenario", "rotm", "--alpha-ratio", "0.5", "--visibility", "0.95",
+          "--selection", "min-eta"],
+         "00bdd69f82a95a098c22ae752fb93222aa57222fa12322a3bbbb0d6a2145489f",
+         "3a561e13791d81d09fe7e05707c134aa2440443b6bb2e3aa927a23d249459aa9"),
+    ])
+    def test_tables_match_pinned_digests(self, tmp_path, flags, histogram, curve):
+        assert _run(["run", *flags, "--format", "csv", "--trials", "131079",
+                     "--seed", "7", "--workers", "1", "--out-dir", str(tmp_path)]) == 0
+        for name, digest in (("histogram.csv", histogram), ("curve.csv", curve)):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestVerify:

@@ -106,6 +106,15 @@ class TestScenarioConfig:
         assert config.eta_grid_points()[-1] == 1.0
         assert len(config.eta_grid_points()) == 401
 
+    @pytest.mark.parametrize("grid,points", [
+        ((0.6, 1.0, 0.15), [0.6, 0.75, 0.9]),
+        ((0.6, 0.7, 0.1), [0.6, 0.7]),  # (stop - start) / step is 0.9999999999999998
+    ])
+    def test_eta_grid_stays_within_stop(self, grid, points):
+        # test_defaults pins the default grid: 401 points from 0.6 to 1.0
+        np.testing.assert_array_equal(
+            ScenarioConfig(scenario="rim", eta_grid=grid).eta_grid_points(), points)
+
     def test_state_conversion(self):
         config = ScenarioConfig(scenario="rim", alpha_ratio=0.5)
         state = config.state
@@ -334,6 +343,19 @@ class TestChunkKernel:
         with pytest.raises(NumericalConsistencyError, match="trial 1005"):
             _evaluate_chunk(config, 1000, 1100)
 
+    def test_failing_trial_is_named_once(self, monkeypatch):
+        original = quantum.joint_outcome00
+
+        def poisoned(state, z_a, z_b, inplane):
+            p = original(state, z_a, z_b, inplane)
+            p[0, 1, 0] = np.nan
+            return p
+
+        monkeypatch.setattr(quantum, "joint_outcome00", poisoned)
+        with pytest.raises(NumericalConsistencyError) as info:
+            run_trial(ScenarioConfig(scenario="rom", master_seed=3), 7)
+        assert str(info.value) == "non-finite probability at trial 7"
+
 
 class TestFormTables:
     @pytest.mark.parametrize("s", [2, 3])
@@ -528,7 +550,6 @@ class TestAbort:
         config = ScenarioConfig(scenario="rim", trials=mc.CHUNK_TRIALS * 2)
         with pytest.raises(ExperimentAborted) as info:
             run_experiment(config)
-        assert info.value.partial
         assert info.value.completed_trials == mc.CHUNK_TRIALS
         assert info.value.trials == mc.CHUNK_TRIALS * 2
 

@@ -82,7 +82,7 @@ class TestProjector:
         for n in _random_directions(rng, 20):
             d = MeasurementDirection(n)
             p = projector_from_direction(d)
-            q = projector_from_direction(-d)
+            q = projector_from_direction(MeasurementDirection(-n))
             np.testing.assert_allclose(p.m + q.m, np.eye(2), atol=1e-14)
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))

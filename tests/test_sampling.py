@@ -209,7 +209,7 @@ class TestOrthogonalPair:
         np.testing.assert_array_equal(rom[6:8], rotm[12:14])
         d1, d2 = sample_orthogonal_pair(RandomSource(5, 9))
         triad = sample_orthogonal_triad(RandomSource(5, 9))
-        np.testing.assert_array_equal(np.stack([d1.n, d2.n]), triad.as_array()[:2])
+        np.testing.assert_array_equal([d1.n, d2.n], [triad.d1.n, triad.d2.n])
 
     def test_joint_law_matches_gram_schmidt(self, pairs):
         # independent uniform-pair construction: Gram-Schmidt on two 3D
@@ -271,7 +271,7 @@ class TestOrthogonalTriad:
     def test_scalar_api_validates(self):
         triad = sample_orthogonal_triad(RandomSource(1, 5))
         assert isinstance(triad, MeasurementTriad)
-        arr = triad.as_array()
+        arr = np.stack([triad.d1.n, triad.d2.n, triad.d3.n])
         np.testing.assert_allclose(arr @ arr.T, np.eye(3), atol=1e-12)
 
     def test_triad_validation_rejects_bad(self):
