@@ -71,6 +71,7 @@ class RandomSource:
     master_seed: int
     trial_index: int
     _position: int = field(default=0, repr=False)
+    _row: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.master_seed = int(self.master_seed) & _MASK64
@@ -83,9 +84,11 @@ class RandomSource:
         end = self._position + n
         if end > _DRAWS:
             raise ValueError(f"a trial's stream holds {_DRAWS} draws, {end} requested")
-        row = uniform_block(self.master_seed, self.trial_index, self.trial_index + 1)[0]
+        if self._row is None:  # drawn once, at first use
+            self._row = uniform_block(self.master_seed, self.trial_index,
+                                      self.trial_index + 1)[0]
         start, self._position = self._position, end
-        return row[start:end]
+        return self._row[start:end]
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,27 @@ class TestRunTrial:
             assert outcome.i_max == i_max[i]
             assert outcome.eta_req == (eta[i] if outcome.violated else None)
 
+    @pytest.mark.parametrize("scenario", ["rim", "rom", "rotm"])
+    @pytest.mark.parametrize("policy", ["max-i", "min-eta"])
+    def test_blocks_change_no_bit(self, scenario, policy):
+        # three blocks, the last partial, off the chunk and block grids
+        config = ScenarioConfig(scenario=scenario, alpha_ratio=0.5, visibility=0.95,
+                                master_seed=7, selection_policy=policy)
+        block = mc._BLOCK_TRIALS
+        lo = 3 * mc.CHUNK_TRIALS + 1234
+        hi = lo + 2 * block + 17
+        whole = _evaluate_chunk(config, lo, hi)
+        split = zip(_evaluate_chunk(config, lo, lo + 5000),
+                    _evaluate_chunk(config, lo + 5000, hi))
+        for got, parts in zip(whole, split):
+            assert got.tobytes() == np.concatenate(parts).tobytes()
+        ends = [lo, lo + block - 1, lo + block, lo + 2 * block - 1, lo + 2 * block, hi - 1]
+        inner = np.random.default_rng(0).choice(np.arange(lo + 1, hi - 1), 14, replace=False)
+        for trial in ends + inner.tolist():
+            outcome = run_trial(config, trial)
+            assert outcome.i_max == whole[0][trial - lo]
+            assert outcome.eta_req == (whole[1][trial - lo] if outcome.violated else None)
+
     def test_negative_index(self):
         with pytest.raises(ValueError):
             run_trial(ScenarioConfig(scenario="rim"), -1)
@@ -342,6 +363,23 @@ class TestChunkKernel:
         config = ScenarioConfig(scenario="rom", master_seed=3)
         with pytest.raises(NumericalConsistencyError, match="trial 1005"):
             _evaluate_chunk(config, 1000, 1100)
+
+    def test_nan_probability_in_a_later_block_names_its_trial(self, monkeypatch):
+        original = quantum.joint_outcome00
+        calls = []
+
+        def poisoned(state, z_a, z_b, inplane):
+            p = original(state, z_a, z_b, inplane)
+            calls.append(None)
+            if len(calls) == 2:  # the second block's
+                p[0, 0, 5] = np.nan
+            return p
+
+        monkeypatch.setattr(quantum, "joint_outcome00", poisoned)
+        config = ScenarioConfig(scenario="rom", master_seed=3)
+        bad = 1000 + mc._BLOCK_TRIALS + 5
+        with pytest.raises(NumericalConsistencyError, match=f"trial {bad}$"):
+            _evaluate_chunk(config, 1000, 1000 + 2 * mc._BLOCK_TRIALS)
 
     def test_failing_trial_is_named_once(self, monkeypatch):
         original = quantum.joint_outcome00

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from randbell import sampling
 from randbell.sampling import (
     MeasurementTriad,
     RandomSource,
@@ -77,6 +78,15 @@ class TestPhiloxKernel:
         first = np.concatenate([a.uniform(3), a.uniform(5)])
         b = RandomSource(5, 2)
         np.testing.assert_array_equal(first, b.uniform(8))
+
+    def test_source_draws_its_row_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sampling, "uniform_block",
+                            lambda *args: calls.append(args) or uniform_block(*args))
+        rng = RandomSource(5, 2)
+        draws = np.concatenate([rng.uniform(2), rng.uniform(0), rng.uniform(6)])
+        assert calls == [(5, 2, 3)]
+        np.testing.assert_array_equal(draws, uniform_block(5, 2, 3)[0])
 
     def test_distinct_trials_differ(self):
         u = uniform_block(0, 0, 100)
