@@ -311,9 +311,9 @@ def cmd_verify(args) -> int:
         config = ScenarioConfig(scenario=scenario, alpha_ratio=ratio,
                                 trials=int(total * fraction),
                                 master_seed=args.seed, workers=args.workers)
-        i_max, eta = _collect_chunks(config)
-        i_top = max(i_top, float(i_max.max(initial=-np.inf)))
-        eta_floor = min(eta_floor, float(eta.min(initial=np.inf)))
+        merged = _collect_chunks(config)
+        i_top = max(i_top, merged.i_top)
+        eta_floor = min(eta_floor, merged.eta_min)
     cap = 0.2071068 + 1e-9
     ok &= _check("Tsirelson cap", i_top <= cap,
                  f"max I over {total} random trials = {i_top:.9f} (cap {cap:.9f})")

@@ -4,11 +4,15 @@ A trial samples one set of measurement directions per scenario, evaluates
 every equivalent form of the inequality on the resulting probability table,
 records the highest value, and, when that value is positive, the required
 detection efficiency of the winning form.  Trials are embarrassingly
-parallel: each one is a pure function of (config, trial index), workers own
-disjoint chunks of a fixed chunk grid, each chunk returns only its
-violating trials, and aggregation reads them in trial order, so results are
-bit-identical for any worker count and memory grows with the violating
-trials only.
+parallel: each one is a pure function of (config, trial index), and workers
+own disjoint chunks of a fixed chunk grid.  Each chunk reduces its
+violating trials to a partial of fixed size (integer counts of eta_req on
+the histogram edges, the curve grid and the named etas; the violating
+count; the eta_req range and the largest I; the float sum of I; integer
+counts of I on a fixed grid, which bound the median), and the partials are
+merged in chunk order.  Integer counts merge exactly and the float sum is
+taken in chunk order, so results are bit-identical for any worker count,
+and a run's memory does not grow with its trial count.
 
 The per-trial evaluation is vectorized over a block of a chunk's trials,
 the blocks taken in order so that a block's rows stay cache-resident, and
@@ -79,6 +83,12 @@ _BLOCK_TRIALS = 1 << 13
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 _WILSON_Z = 1.959963984540054  # 97.5th normal percentile
+
+# The median of I given violation comes from integer counts on bins of width
+# 2**-16 over [0, 1/4), the last bin open above.  Scaling by a power of two
+# is exact, so a value's bin is exact too.
+_I_SCALE = 2.0 ** 16
+_I_BINS = 1 << 14
 
 
 class ExperimentAborted(RuntimeError):
@@ -186,6 +196,38 @@ class SweepEntry:
     config: ScenarioConfig
     result: ExperimentResult | None = None
     error: str | None = None
+
+
+@dataclass
+class _Partial:
+    """What aggregation needs of the violating trials of some chunks.
+
+    Its size is fixed by the config, not by the trials it covers.  The
+    counts are cumulative (trials with eta_req below each histogram edge,
+    at most each curve point and named eta) or per bin (I), so merging is
+    exact integer addition; the float sum of I is added in chunk order.
+    """
+
+    violating: int
+    below_edges: np.ndarray  # eta_req < each edge; <= for the last, as np.histogram
+    at_most: np.ndarray  # eta_req <= each point of `_eta_points`
+    i_counts: np.ndarray  # I per bin of width 1 / _I_SCALE
+    i_sum: float
+    i_top: float  # the largest I, -inf when nothing violates
+    eta_min: float  # inf when nothing violates
+    eta_max: float  # -inf when nothing violates
+
+    def merge(self, other: "_Partial") -> "_Partial":
+        """Add `other`, the partial of later chunks, into this one."""
+        self.violating += other.violating
+        self.below_edges += other.below_edges
+        self.at_most += other.at_most
+        self.i_counts += other.i_counts
+        self.i_sum += other.i_sum
+        self.i_top = max(self.i_top, other.i_top)
+        self.eta_min = min(self.eta_min, other.eta_min)
+        self.eta_max = max(self.eta_max, other.eta_max)
+        return self
 
 
 def wilson_interval(successes: int, total: int):
@@ -417,26 +459,58 @@ def _chunk_grid(trials: int):
     return [(lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS)]
 
 
-def _violating_trials(config: ScenarioConfig, lo: int, hi: int):
-    """(i_max, eta_req) of the violating trials in [lo, hi), in trial order."""
+def _histogram_edges(config: ScenarioConfig) -> np.ndarray:
+    return np.linspace(0.6, 1.0, config.histogram_bins + 1)
+
+
+def _eta_points(config: ScenarioConfig) -> np.ndarray:
+    """The curve grid, then NAMED_ETAS."""
+    return np.concatenate([config.eta_grid_points(), NAMED_ETAS])
+
+
+def _chunk_partial(config: ScenarioConfig, lo: int, hi: int) -> _Partial:
+    """The partial of the violating trials in [lo, hi).
+
+    One sort of the chunk's eta_req gives every eta count by a search per
+    edge or point; a search per trial into the edges costs several times
+    more.  I needs no sort: its bin is its scaled value, truncated.
+    """
     i_max, eta = _evaluate_chunk(config, lo, hi)
     violated = i_max > 0.0
-    return i_max[violated], eta[violated]
+    i_max = i_max[violated]
+    eta = np.sort(eta[violated])
+    edges = _histogram_edges(config)
+    below_edges = np.concatenate([eta.searchsorted(edges[:-1], "left"),
+                                  eta.searchsorted(edges[-1:], "right")])
+    bins = (i_max * _I_SCALE).astype(np.intp)
+    np.minimum(bins, _I_BINS - 1, out=bins)
+    n = len(eta)
+    return _Partial(
+        violating=n,
+        below_edges=below_edges,
+        at_most=eta.searchsorted(_eta_points(config), "right"),
+        i_counts=np.bincount(bins, minlength=_I_BINS),
+        i_sum=float(i_max.sum()),
+        i_top=float(i_max.max()) if n else -math.inf,
+        eta_min=float(eta[0]) if n else math.inf,
+        eta_max=float(eta[-1]) if n else -math.inf,
+    )
 
 
-def _collect_chunks(config: ScenarioConfig, progress=None):
-    """(i_max, eta_req) of every violating trial, in trial order.
+def _collect_chunks(config: ScenarioConfig, progress=None) -> _Partial:
+    """The merged partial of every chunk.
 
     Chunks are consumed in grid order, in this process for one worker and
-    from a process pool otherwise, so peak memory is the violating trials
-    plus the chunks in flight.  A trial error, a dead worker process or an
-    interrupt aborts the run with the count of trials completed, in order,
-    before it; any exception cancels the pending chunks.
+    from a process pool otherwise, and each partial is merged into the
+    first as it arrives, so peak memory is one partial plus the chunks in
+    flight, whatever the trial count.  A trial error, a dead worker process
+    or an interrupt aborts the run with the count of trials completed, in
+    order, before it; any exception cancels the pending chunks.
     """
     chunks = _chunk_grid(config.trials)
     started = time.perf_counter()
     done_trials = 0
-    parts = []
+    total = None
     try:
         with ExitStack() as stack:
             chunk_map = map
@@ -449,8 +523,8 @@ def _collect_chunks(config: ScenarioConfig, progress=None):
                 stack.callback(pool.shutdown, cancel_futures=True)
                 chunk_map = pool.map
             los, his = zip(*chunks)
-            for hi, part in zip(his, chunk_map(_violating_trials, repeat(config), los, his)):
-                parts.append(part)
+            for hi, part in zip(his, chunk_map(_chunk_partial, repeat(config), los, his)):
+                total = part if total is None else total.merge(part)
                 done_trials = hi
                 if progress is not None:
                     progress(done_trials, config.trials, time.perf_counter() - started)
@@ -460,8 +534,24 @@ def _collect_chunks(config: ScenarioConfig, progress=None):
     except KeyboardInterrupt as exc:
         raise ExperimentAborted("interrupted", completed_trials=done_trials,
                                 trials=config.trials) from exc
-    i_max, eta = zip(*parts)
-    return np.concatenate(i_max), np.concatenate(eta)
+    return total
+
+
+def _median_estimate(total: _Partial):
+    """(estimate, bound) of the median I of the violating trials.
+
+    The exact median is the middle value, or the mean of the two middle
+    values, of the sorted I.  Both lie in the span from the lower edge of
+    the first's bin to the upper edge of the second's (or the largest I,
+    if less), so its midpoint is within half the span of the median.
+    """
+    n = total.violating
+    cum = np.cumsum(total.i_counts)
+    first, second = cum.searchsorted([(n + 1) // 2, n // 2 + 1]).tolist()
+    low = first / _I_SCALE
+    high = min((second + 1) / _I_SCALE if second + 1 < _I_BINS else math.inf,
+               total.i_top)
+    return (low + high) / 2, (high - low) / 2
 
 
 def run_experiment(config: ScenarioConfig, progress=None) -> ExperimentResult:
@@ -471,24 +561,21 @@ def run_experiment(config: ScenarioConfig, progress=None) -> ExperimentResult:
     after each completed chunk.
     """
     started = time.perf_counter()
-    i_max_violating, eta_violating = _collect_chunks(config, progress)
-    n_viol = len(eta_violating)
+    total = _collect_chunks(config, progress)
+    n_viol = total.violating
 
-    if n_viol and (eta_violating.min() < 0.6 or eta_violating.max() >= 1.0):
+    if n_viol and (total.eta_min < 0.6 or total.eta_max >= 1.0):
         raise NumericalConsistencyError("required efficiency outside [0.6, 1)")
 
-    edges = np.linspace(0.6, 1.0, config.histogram_bins + 1)
-    counts, _ = np.histogram(eta_violating, bins=edges)
     histogram = EfficiencyHistogram(
-        bin_edges=edges,
-        counts=counts,
+        bin_edges=_histogram_edges(config),
+        counts=np.diff(total.below_edges),
         total_trials=config.trials,
         violating_trials=n_viol,
     )
 
     grid = config.eta_grid_points()
-    eta_violating.sort()
-    cum = np.searchsorted(eta_violating, grid, side="right")
+    cum, named_cum = np.split(total.at_most, [len(grid)])
     p_viol = cum / config.trials
     ci = np.array([wilson_interval(int(k), config.trials) for k in cum])
     curve = ViolationCurve(
@@ -497,11 +584,17 @@ def run_experiment(config: ScenarioConfig, progress=None) -> ExperimentResult:
 
     named_p = {}
     named_ci = {}
-    for point in NAMED_ETAS:
-        k = int(np.searchsorted(eta_violating, point, side="right"))
+    for point, k in zip(NAMED_ETAS, named_cum.tolist()):
         named_p[f"{point:g}"] = k / config.trials
         lo_ci, hi_ci = wilson_interval(k, config.trials)
         named_ci[f"{point:g}"] = [lo_ci, hi_ci]
+
+    if n_viol:
+        median, median_bound = _median_estimate(total)
+        i_stats = {"mean": total.i_sum / n_viol, "median": median,
+                   "median_error_bound": median_bound}
+    else:
+        i_stats = None
 
     state = config.state
     summary = {
@@ -515,15 +608,8 @@ def run_experiment(config: ScenarioConfig, progress=None) -> ExperimentResult:
         "violating_trials": n_viol,
         "p_viol": named_p,
         "wilson_ci_95": named_ci,
-        "i_max_given_violation": (
-            {
-                "mean": float(i_max_violating.mean()),
-                "median": float(np.median(i_max_violating, overwrite_input=True)),
-            }
-            if n_viol
-            else None
-        ),
-        "min_eta_req": float(eta_violating[0]) if n_viol else None,
+        "i_max_given_violation": i_stats,
+        "min_eta_req": total.eta_min if n_viol else None,
         "wall_time_s": time.perf_counter() - started,
         "manifest": _manifest(config),
     }

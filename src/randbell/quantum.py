@@ -180,9 +180,15 @@ def _check_probability(value: complex) -> float:
     return p
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two 2x2 matrices, entry for entry: the outer product
+    a[i, j] b[k, l] at row 2i + k, column 2j + l."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 def joint_probability(state: NoisyState, m_a: Projector, m_b: Projector) -> float:
     """Born-rule joint probability tr(rho (m_a x m_b))."""
-    value = np.trace(state.density_matrix @ np.kron(m_a.m, m_b.m))
+    value = np.trace(state.density_matrix @ _kron(m_a.m, m_b.m))
     return _check_probability(complex(value))
 
 
@@ -190,7 +196,7 @@ def marginal_probability(state: NoisyState, m: Projector, party: str) -> float:
     """Single-party outcome probability, tr(rho (m x I)) or tr(rho (I x m))."""
     if party not in ("A", "B"):
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    op = np.kron(m.m, _IDENTITY2) if party == "A" else np.kron(_IDENTITY2, m.m)
+    op = _kron(m.m, _IDENTITY2) if party == "A" else _kron(_IDENTITY2, m.m)
     value = np.trace(state.density_matrix @ op)
     return _check_probability(complex(value))
 

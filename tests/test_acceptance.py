@@ -158,8 +158,7 @@ class TestCriterion10:
         for scenario, ratio, trials in mixes:
             config = ScenarioConfig(scenario=scenario, alpha_ratio=ratio,
                                     trials=trials, master_seed=1)
-            i_max, _ = _collect_chunks(config)
-            top = max(top, float(i_max.max(initial=-np.inf)))
+            top = max(top, _collect_chunks(config).i_top)
         cap = 0.2071068 + 1e-9
         _report(10, f"(b) Tsirelson cap over 10^6 trials: max I = {top:.9f} "
                     f"<= {cap:.9f}",

@@ -3,6 +3,7 @@ aggregation invariants, and worker-count independence."""
 
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -490,23 +491,76 @@ class TestWorkerIndependence:
             cb = {k: v for k, v in b.summary[key].items() if k != "workers"}
             assert ca == cb
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_collect_keeps_violating_trials_in_order(self, workers):
+        # the merged partial is that of the violating trials of the
+        # concatenated chunks, its float sum of I taken in chunk order
         config = ScenarioConfig(scenario="rom", alpha_ratio=0.7, trials=2 * mc.CHUNK_TRIALS + 7,
                                 master_seed=12, selection_policy="min-eta", workers=workers)
         rows = [_evaluate_chunk(config, lo, hi) for lo, hi in mc._chunk_grid(config.trials)]
+        chunk_sums = [float(i[i > 0.0].sum()) for i, _ in rows]
         i_max = np.concatenate([i for i, _ in rows])
         eta = np.concatenate([e for _, e in rows])
         violated = i_max > 0.0
-        got_i, got_eta = mc._collect_chunks(config)
-        np.testing.assert_array_equal(got_i, i_max[violated])
-        np.testing.assert_array_equal(got_eta, eta[violated])
+        i_max, eta = i_max[violated], eta[violated]
+        got = mc._collect_chunks(config)
+        assert got.violating == violated.sum() > 0
+        edges = np.linspace(0.6, 1.0, config.histogram_bins + 1)
+        np.testing.assert_array_equal(np.diff(got.below_edges),
+                                      np.histogram(eta, bins=edges)[0])
+        assert got.below_edges[0] == 0
+        points = np.concatenate([config.eta_grid_points(), mc.NAMED_ETAS])
+        np.testing.assert_array_equal(got.at_most, [(eta <= p).sum() for p in points])
+        i_edges = np.arange(mc._I_BINS + 1) / mc._I_SCALE
+        np.testing.assert_array_equal(got.i_counts, np.histogram(i_max, bins=i_edges)[0])
+        assert got.i_sum == sum(chunk_sums)
+        assert (got.i_top, got.eta_min, got.eta_max) == (i_max.max(), eta.min(), eta.max())
 
     def test_chunk_grid_fixed(self):
         grid = mc._chunk_grid(200_000)
         assert grid[0] == (0, mc.CHUNK_TRIALS)
         assert grid[-1][1] == 200_000
         assert all(hi - lo <= mc.CHUNK_TRIALS for lo, hi in grid)
+
+
+class TestPartials:
+    @pytest.mark.parametrize("scenario,ratio,visibility", [
+        ("rim", 1.0, 1.0), ("rom", 0.6, 1.0), ("rotm", 0.5, 0.95)])
+    def test_median_within_its_bound_and_mean_of_the_sum(self, scenario, ratio, visibility):
+        config = ScenarioConfig(scenario=scenario, alpha_ratio=ratio, visibility=visibility,
+                                trials=2 * mc.CHUNK_TRIALS + 13, master_seed=21)
+        i_max = np.concatenate([_evaluate_chunk(config, lo, hi)[0]
+                                for lo, hi in mc._chunk_grid(config.trials)])
+        i_max = i_max[i_max > 0.0]
+        stats = run_experiment(config).summary["i_max_given_violation"]
+        bound = stats["median_error_bound"]
+        # the midpoint of at most two adjacent bins, rounded once
+        assert 0.0 < bound <= 1.0 / mc._I_SCALE
+        assert abs(stats["median"] - np.median(i_max)) <= bound * (1.0 + 1e-12)
+        assert stats["mean"] == pytest.approx(i_max.mean(), rel=1e-15, abs=0.0)
+
+    def test_median_of_an_even_count_spans_both_middle_bins(self):
+        w = 1.0 / mc._I_SCALE
+        counts = np.zeros(mc._I_BINS, dtype=np.intp)
+        counts[[3, 7]] = 1
+        total = mc._Partial(violating=2, below_edges=None, at_most=None, i_counts=counts,
+                            i_sum=0.0, i_top=7.5 * w, eta_min=0.7, eta_max=0.8)
+        # the middle values lie in [3w, 4w) and [7w, 7.5w]
+        assert mc._median_estimate(total) == (5.25 * w, 2.25 * w)
+
+    def test_memory_does_not_grow_with_the_trial_count(self):
+        def peak(chunks):
+            config = ScenarioConfig(scenario="rotm", alpha_ratio=0.5, visibility=0.95,
+                                    trials=chunks * mc.CHUNK_TRIALS, master_seed=3)
+            tracemalloc.start()
+            try:
+                run_experiment(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        mc._form_tables(3)  # built once per process, outside the trace
+        assert peak(8) - peak(2) < 1 << 20
 
 
 class TestScalingSanity:
