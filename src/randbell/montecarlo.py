@@ -14,6 +14,13 @@ merged in chunk order.  Integer counts merge exactly and the float sum is
 taken in chunk order, so results are bit-identical for any worker count,
 and a run's memory does not grow with its trial count.
 
+A sweep is the same chunk loop over several states that share the trial
+streams of one master seed (common random numbers): each block's uniforms
+and coordinate rows are made once, each state turns them into its own
+probabilities and winners, and each chunk returns a partial per state.  A
+run is the one-state case, so a sweep's entry for a state equals a run on
+that state.
+
 The per-trial evaluation is vectorized over a block of a chunk's trials,
 the blocks taken in order so that a block's rows stay cache-resident, and
 never builds a direction: the block's uniforms come from the counter-based
@@ -194,8 +201,7 @@ class ExperimentResult:
 @dataclass(frozen=True)
 class SweepEntry:
     config: ScenarioConfig
-    result: ExperimentResult | None = None
-    error: str | None = None
+    result: ExperimentResult
 
 
 @dataclass
@@ -312,31 +318,50 @@ def _probabilities(state: NoisyState, settings_per_party: int, rows: np.ndarray)
     return rows
 
 
-def _evaluate_chunk(config: ScenarioConfig, lo: int, hi: int):
-    """Evaluate trials [lo, hi); returns (i_max, eta_req) arrays, eta NaN
-    when the trial is not violated.
+def _evaluate_chunk(config: ScenarioConfig, lo: int, hi: int, states=None):
+    """Evaluate trials [lo, hi) of config's trial streams in each config of
+    `states`; returns (i_max, eta_req) arrays with one row per state, eta
+    NaN when the trial is not violated.  `states` differ from config in
+    alpha_ratio and visibility only; without them, config is the one state
+    and its rows come back 1-D.
 
-    Each block of `_BLOCK_TRIALS` runs through the whole pipeline in turn.
-    Every step is elementwise per trial and the generator is counter-based,
-    so the blocks change no bit.
+    Each block of `_BLOCK_TRIALS` is drawn and mapped to coordinate rows
+    once, and each state runs its probabilities and forms on them in turn.
+    `_probabilities` overwrites its rows, so every state but the last works
+    on a copy in one reused buffer.  Every step is elementwise per trial
+    and the generator is counter-based, so the blocks change no bit and each
+    state's rows are those of a run on that state alone.
     """
+    one = states is None
+    states = (config,) if one else states
     s = config.settings_per_party
-    state = config.state
-    i_max = np.empty(hi - lo)
-    eta = np.empty(hi - lo)
+    noisy = [c.state for c in states]
+    last = len(noisy) - 1
+    i_max = np.empty((len(noisy), hi - lo))
+    eta = np.empty((len(noisy), hi - lo))
+    spare = None
     for start in range(lo, hi, _BLOCK_TRIALS):
         stop = min(start + _BLOCK_TRIALS, hi)
+        block = slice(start - lo, stop - lo)
         # the uniforms are freed once they are mapped, before the probabilities
         rows = _SETTINGS_FROM_UNIFORMS[config.scenario](
             sampling.uniform_block(config.master_seed, start, stop))
-        coords = _probabilities(state, s, rows)
-        finite = np.isfinite(coords).all(axis=0)
-        if not finite.all():
-            bad = start + int(np.flatnonzero(~finite)[0])
-            raise NumericalConsistencyError(f"non-finite probability at trial {bad}")
-        block = slice(start - lo, stop - lo)
-        i_max[block], eta[block] = _forms_winner(coords, s, config.selection_policy)
-    return i_max, eta
+        for k, state in enumerate(noisy):
+            own = rows
+            if k < last:
+                if spare is None or spare.shape != rows.shape:
+                    spare = np.empty_like(rows)
+                own = spare
+                np.copyto(own, rows)
+            coords = _probabilities(state, s, own)
+            finite = np.isfinite(coords).all(axis=0)
+            if not finite.all():
+                bad = start + int(np.flatnonzero(~finite)[0])
+                where = "" if one else (f" (alpha_ratio {states[k].alpha_ratio:g},"
+                                        f" visibility {states[k].visibility:g})")
+                raise NumericalConsistencyError(f"non-finite probability at trial {bad}{where}")
+            i_max[k, block], eta[k, block] = _forms_winner(coords, s, config.selection_policy)
+    return (i_max[0], eta[0]) if one else (i_max, eta)
 
 
 def _extreme(ufunc, d, rows, out):
@@ -468,18 +493,15 @@ def _eta_points(config: ScenarioConfig) -> np.ndarray:
     return np.concatenate([config.eta_grid_points(), NAMED_ETAS])
 
 
-def _chunk_partial(config: ScenarioConfig, lo: int, hi: int) -> _Partial:
-    """The partial of the violating trials in [lo, hi).
+def _partial(i_max: np.ndarray, eta: np.ndarray, edges: np.ndarray,
+             points: np.ndarray) -> _Partial:
+    """The partial of one state's violating trials, given their I and their
+    eta_req sorted.
 
-    One sort of the chunk's eta_req gives every eta count by a search per
-    edge or point; a search per trial into the edges costs several times
-    more.  I needs no sort: its bin is its scaled value, truncated.
+    The sort gives every eta count by a search per edge or point; a search
+    per trial into the edges costs several times more.  I needs no sort:
+    its bin is its scaled value, truncated.
     """
-    i_max, eta = _evaluate_chunk(config, lo, hi)
-    violated = i_max > 0.0
-    i_max = i_max[violated]
-    eta = np.sort(eta[violated])
-    edges = _histogram_edges(config)
     below_edges = np.concatenate([eta.searchsorted(edges[:-1], "left"),
                                   eta.searchsorted(edges[-1:], "right")])
     bins = (i_max * _I_SCALE).astype(np.intp)
@@ -488,7 +510,7 @@ def _chunk_partial(config: ScenarioConfig, lo: int, hi: int) -> _Partial:
     return _Partial(
         violating=n,
         below_edges=below_edges,
-        at_most=eta.searchsorted(_eta_points(config), "right"),
+        at_most=eta.searchsorted(points, "right"),
         i_counts=np.bincount(bins, minlength=_I_BINS),
         i_sum=float(i_max.sum()),
         i_top=float(i_max.max()) if n else -math.inf,
@@ -497,20 +519,39 @@ def _chunk_partial(config: ScenarioConfig, lo: int, hi: int) -> _Partial:
     )
 
 
-def _collect_chunks(config: ScenarioConfig, progress=None) -> _Partial:
-    """The merged partial of every chunk.
+def _chunk_partial(config: ScenarioConfig, lo: int, hi: int, states) -> list[_Partial]:
+    """The partial of the violating trials in [lo, hi) of each state."""
+    i_max, eta = _evaluate_chunk(config, lo, hi, states)
+    violated = i_max > 0.0
+    # rebinding frees each whole output once its violating trials are taken
+    i_max = [row[v] for row, v in zip(i_max, violated)]
+    eta = [np.sort(row[v]) for row, v in zip(eta, violated)]
+    edges = _histogram_edges(config)
+    points = _eta_points(config)
+    return [_partial(i, e, edges, points) for i, e in zip(i_max, eta)]
 
-    Chunks are consumed in grid order, in this process for one worker and
-    from a process pool otherwise, and each partial is merged into the
-    first as it arrives, so peak memory is one partial plus the chunks in
-    flight, whatever the trial count.  A trial error, a dead worker process
-    or an interrupt aborts the run with the count of trials completed, in
-    order, before it; any exception cancels the pending chunks.
+
+def _collect_chunks(config: ScenarioConfig, progress=None, states=None):
+    """The merged partial of every chunk of each config of `states`.
+
+    `states` share config's trial streams and differ from it in alpha_ratio
+    and visibility only; without them, config is the one state and its
+    partial is returned alone.  Chunks are consumed in grid order, in this
+    process for one worker and from a process pool otherwise, and each
+    state's partial is merged into its first as it arrives, so peak memory
+    is one partial per state plus the chunks in flight, whatever the trial
+    count.  Progress and abort counts are trials times states.  A trial
+    error in any state, a dead worker process or an interrupt aborts the
+    whole run with the count of trials completed, in order, before it; any
+    exception cancels the pending chunks.
     """
+    one = states is None
+    states = (config,) if one else states
     chunks = _chunk_grid(config.trials)
+    total = len(states) * config.trials
     started = time.perf_counter()
-    done_trials = 0
-    total = None
+    done = 0
+    totals = None
     try:
         with ExitStack() as stack:
             chunk_map = map
@@ -523,18 +564,17 @@ def _collect_chunks(config: ScenarioConfig, progress=None) -> _Partial:
                 stack.callback(pool.shutdown, cancel_futures=True)
                 chunk_map = pool.map
             los, his = zip(*chunks)
-            for hi, part in zip(his, chunk_map(_chunk_partial, repeat(config), los, his)):
-                total = part if total is None else total.merge(part)
-                done_trials = hi
+            parts = chunk_map(_chunk_partial, repeat(config), los, his, repeat(states))
+            for hi, part in zip(his, parts):
+                totals = part if totals is None else [t.merge(p) for t, p in zip(totals, part)]
+                done = len(states) * hi
                 if progress is not None:
-                    progress(done_trials, config.trials, time.perf_counter() - started)
+                    progress(done, total, time.perf_counter() - started)
     except (NumericalConsistencyError, BrokenProcessPool) as exc:
-        raise ExperimentAborted(str(exc), completed_trials=done_trials,
-                                trials=config.trials) from exc
+        raise ExperimentAborted(str(exc), completed_trials=done, trials=total) from exc
     except KeyboardInterrupt as exc:
-        raise ExperimentAborted("interrupted", completed_trials=done_trials,
-                                trials=config.trials) from exc
-    return total
+        raise ExperimentAborted("interrupted", completed_trials=done, trials=total) from exc
+    return totals[0] if one else totals
 
 
 def _median_estimate(total: _Partial):
@@ -554,14 +594,16 @@ def _median_estimate(total: _Partial):
     return (low + high) / 2, (high - low) / 2
 
 
-def run_experiment(config: ScenarioConfig, progress=None) -> ExperimentResult:
-    """Run all trials and aggregate the histogram, curve, and summary.
-
-    `progress`, if given, is called as progress(done, total, elapsed_seconds)
-    after each completed chunk.
-    """
+def _results(configs, progress) -> list[ExperimentResult]:
+    """The result of each config, all of them run on the first's trial
+    streams in one chunk loop."""
     started = time.perf_counter()
-    total = _collect_chunks(config, progress)
+    totals = _collect_chunks(configs[0], progress, configs)
+    return [_result(config, total, started) for config, total in zip(configs, totals)]
+
+
+def _result(config: ScenarioConfig, total: _Partial, started: float) -> ExperimentResult:
+    """The histogram, curve and summary of config's merged partial."""
     n_viol = total.violating
 
     if n_viol and (total.eta_min < 0.6 or total.eta_max >= 1.0):
@@ -640,33 +682,35 @@ def _manifest(config: ScenarioConfig) -> dict:
     }
 
 
-def sweep(configs: list[ScenarioConfig], progress=None) -> list[SweepEntry]:
-    """Run several configs, each on an independent trial-index space.
+def run_experiment(config: ScenarioConfig, progress=None) -> ExperimentResult:
+    """Run all trials and aggregate the histogram, curve, and summary.
 
-    The master seed of config k is offset by its ordinal, so a sweep over
-    one config is identical to run_experiment on it.  Per-config failures
-    are isolated; the remaining configs still run.  An interrupt stops the
-    whole sweep with ExperimentAborted, counting the trials of the configs
-    that finished and the in-order trials of the interrupted one.
+    `progress`, if given, is called as progress(done, total, elapsed_seconds)
+    after each completed chunk.
+    """
+    return _results([config], progress)[0]
+
+
+def sweep(configs: list[ScenarioConfig], progress=None) -> list[SweepEntry]:
+    """Run several states on common random numbers: one trial-index space.
+
+    The configs may differ in alpha_ratio and visibility only, else
+    ValueError.  Every state is evaluated on the same trial streams, those
+    of the shared master seed, in one chunk loop, so the generator and the
+    settings map run once per block for all of them, differences between
+    states carry far less noise than between independent runs (Glasserman,
+    Monte Carlo Methods in Financial Engineering (2003), 4.1), and entry k
+    equals run_experiment(configs[k]) byte for byte, but for the wall time.
+    Progress counts trials times states.  A non-finite probability in any
+    state, a dead worker or an interrupt aborts the whole sweep with
+    ExperimentAborted, counting the trials completed, in order, times the
+    number of states.
     """
     if not configs:
         raise ValueError("sweep needs at least one config")
-    total = sum(config.trials for config in configs)
-    done = 0
-    entries = []
-    for ordinal, config in enumerate(configs):
-        effective = replace(config, master_seed=(config.master_seed + ordinal) & _MASK64)
-        try:
-            result = run_experiment(effective, progress=progress)
-            entries.append(SweepEntry(config=effective, result=result))
-            done += effective.trials
-        except ExperimentAborted as exc:
-            if isinstance(exc.__cause__, KeyboardInterrupt):
-                raise ExperimentAborted(str(exc), completed_trials=done + exc.completed_trials,
-                                        trials=total) from exc.__cause__
-            entries.append(SweepEntry(config=effective, error=str(exc)))
-        except Exception as exc:  # noqa: BLE001 - isolation is the contract
-            entries.append(SweepEntry(config=effective, error=str(exc)))
-    if all(entry.result is None for entry in entries):
-        raise ExperimentAborted("every sweep config failed", completed_trials=0, trials=total)
-    return entries
+    first = configs[0]
+    for config in configs[1:]:
+        if replace(config, alpha_ratio=first.alpha_ratio, visibility=first.visibility) != first:
+            raise ValueError("a sweep's configs may differ in alpha_ratio and visibility only")
+    return [SweepEntry(config=result.config, result=result)
+            for result in _results(configs, progress)]

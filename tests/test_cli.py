@@ -102,10 +102,10 @@ class TestRun:
     def test_crashed_worker_exits_2(self, tmp_path, monkeypatch, capsys):
         original = mc._evaluate_chunk
 
-        def crashing(config, lo, hi):
+        def crashing(config, lo, hi, states=None):
             if lo > 0:
                 os._exit(1)
-            return original(config, lo, hi)
+            return original(config, lo, hi, states)
 
         monkeypatch.setattr(mc, "_evaluate_chunk", crashing)
         code = _run(["run", "--scenario", "rim", "--trials", str(2 * mc.CHUNK_TRIALS),
@@ -118,11 +118,11 @@ class TestRun:
     def test_abort_message_starts_its_own_line(self, tmp_path, monkeypatch, capsys):
         original = mc._evaluate_chunk
 
-        def failing(config, lo, hi):
+        def failing(config, lo, hi, states=None):
             if lo > 0:
                 raise NumericalConsistencyError("injected failure")
             time.sleep(0.5)  # long enough for a progress line
-            return original(config, lo, hi)
+            return original(config, lo, hi, states)
 
         monkeypatch.setattr(mc, "_evaluate_chunk", failing)
         code = _run(["run", "--scenario", "rim", "--trials", str(2 * mc.CHUNK_TRIALS),
@@ -147,14 +147,15 @@ class TestRun:
             yield report
 
         monkeypatch.setattr(cli, "_progress_printer", interrupting_printer)
+        # a sweep's two states run in one chunk loop, so its counts double
+        states = 2 if command[0] == "sweep" else 1
         trials = 2 * mc.CHUNK_TRIALS
-        total = trials * (2 if command[0] == "sweep" else 1)
         code = _run(command + ["--scenario", "rim", "--trials", str(trials),
                                "--workers", "1", "--out-dir", str(tmp_path)])
         assert code == 2
         captured = capsys.readouterr()
-        assert captured.err == (f"aborted after {mc.CHUNK_TRIALS} of {total} trials: "
-                                "interrupted\n")
+        assert captured.err == (f"aborted after {states * mc.CHUNK_TRIALS} of "
+                                f"{states * trials} trials: interrupted\n")
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -176,17 +177,22 @@ class TestRun:
         assert manifests[0]["randbell"] == randbell.__version__
 
     def test_each_sweep_config_shows_progress(self, capsys):
-        # two configs' reports, as a sweep makes them: done and elapsed
-        # restart at each config; every chunk takes 0.25 s
+        # a sweep reports one count, out of trials times states, that only
+        # grows; shown as if every chunk took 0.25 s
         chunks, chunk = 10, mc.CHUNK_TRIALS
+        calls = []
+        mc.sweep([mc.ScenarioConfig(scenario="rim", alpha_ratio=ratio, trials=chunks * chunk)
+                  for ratio in (0.5, 1.0)],
+                 progress=lambda done, total, _elapsed: calls.append((done, total)))
+        assert calls == [(2 * k * chunk, 2 * chunks * chunk) for k in range(1, chunks + 1)]
         with _progress_printer() as report:
-            for _config in range(2):
-                for k in range(1, chunks + 1):
-                    report(k * chunk, chunks * chunk, 0.25 * k)
+            for k, (done, total) in enumerate(calls, 1):
+                report(done, total, 0.25 * k)
         lines = capsys.readouterr().err.split("\n")
-        assert lines[2] == ""
+        assert lines[1:] == [""]
         assert lines[0].count("\r") == 5  # at 0.5, 1, 1.5 and 2 s, then the final one
-        assert lines[0] == lines[1]
+        assert lines[0].endswith(f"\rtrials {2 * chunks * chunk}/{2 * chunks * chunk} "
+                                 f"({2 * chunks * chunk / 2.5:,.0f}/s)")
 
     @pytest.mark.parametrize("command", [["run", "--scenario", "rim"],
                                          ["sweep", "--scenario", "rim"],
@@ -209,9 +215,8 @@ class TestSweep:
         assert len(combined) == 2 + 2 * 401
         summaries = json.loads(capsys.readouterr().out)
         assert len(summaries) == 2
-        # ordinal seed offsets are recorded
-        assert summaries[0]["config"]["master_seed"] == 7
-        assert summaries[1]["config"]["master_seed"] == 8
+        # the states share the master seed
+        assert [summary["config"]["master_seed"] for summary in summaries] == [7, 7]
 
     def test_single_ratio_matches_run(self, tmp_path, capsys):
         sweep_dir = tmp_path / "s"

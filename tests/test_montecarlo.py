@@ -2,8 +2,10 @@
 aggregation invariants, and worker-count independence."""
 
 import itertools
+import json
 import time
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -583,11 +585,11 @@ class TestSweep:
         np.testing.assert_array_equal(entry.result.histogram.counts,
                                       direct.histogram.counts)
 
-    def test_seed_offsets(self):
+    def test_entries_carry_the_master_seed(self):
         config = ScenarioConfig(scenario="rim", trials=5_000, master_seed=40)
-        entries = sweep([config, config])
-        assert entries[0].config.master_seed == 40
-        assert entries[1].config.master_seed == 41
+        entries = sweep([config, replace(config, alpha_ratio=0.5)])
+        assert [entry.config.master_seed for entry in entries] == [40, 40]
+        assert [entry.result.config for entry in entries] == [entry.config for entry in entries]
 
     def test_empty_error(self):
         with pytest.raises(ValueError):
@@ -604,39 +606,80 @@ class TestSweep:
             p_half = entries[1].result.curve.p_viol[-1]
             assert p_mes >= p_half
 
-    def test_error_isolation(self, monkeypatch):
-        good = ScenarioConfig(scenario="rim", trials=2_000, master_seed=1)
-        original = mc._evaluate_chunk
+    @pytest.mark.parametrize("scenario", ["rim", "rom", "rotm"])
+    @pytest.mark.parametrize("policy", ["max-i", "min-eta"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_entry_equals_its_run(self, scenario, policy, workers):
+        # the states share the trial streams; 131079 trials end off the
+        # chunk and block grids, and the states before the last work on a copy
+        base = ScenarioConfig(scenario=scenario, trials=2 * mc.CHUNK_TRIALS + 7,
+                              master_seed=7, selection_policy=policy, workers=workers)
+        configs = [replace(base, alpha_ratio=ratio, visibility=visibility)
+                   for ratio, visibility in ((0.5, 0.95), (1.0, 0.95), (1.0, 1.0))]
+        entries = sweep(configs)
+        partials = mc._collect_chunks(base, states=configs)
+        for config, entry, partial in zip(configs, entries, partials):
+            assert entry.config == config
+            alone = mc._collect_chunks(config)
+            for field in fields(mc._Partial):
+                np.testing.assert_array_equal(getattr(partial, field.name),
+                                              getattr(alone, field.name), field.name)
+            direct = run_experiment(config)
+            for got, want in ((entry.result.curve, direct.curve),
+                              (entry.result.histogram, direct.histogram)):
+                for field in fields(got):
+                    np.testing.assert_array_equal(getattr(got, field.name),
+                                                  getattr(want, field.name), field.name)
+            summaries = [{k: v for k, v in result.summary.items() if k != "wall_time_s"}
+                         for result in (entry.result, direct)]
+            assert json.dumps(summaries[0]) == json.dumps(summaries[1])
 
-        def flaky(config, lo, hi):
-            if config.master_seed == 2:
-                raise NumericalConsistencyError("injected failure")
-            return original(config, lo, hi)
+    @pytest.mark.parametrize("change", [{"scenario": "rom"}, {"trials": 4_000},
+                                        {"master_seed": 2}, {"selection_policy": "min-eta"}])
+    def test_configs_may_differ_in_the_state_only(self, change):
+        config = ScenarioConfig(scenario="rim", trials=5_000, master_seed=1)
+        with pytest.raises(ValueError, match="alpha_ratio and visibility only"):
+            sweep([config, replace(config, alpha_ratio=0.5, **change)])
 
-        monkeypatch.setattr(mc, "_evaluate_chunk", flaky)
-        entries = sweep([good, good])  # second gets seed 2
-        assert entries[0].result is not None
-        assert entries[1].result is None
-        assert "injected" in entries[1].error
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_nan_in_one_state_aborts_the_sweep(self, monkeypatch, target):
+        # a NaN in the second chunk of one state, the first working on a copy
+        # of the shared rows and the second on the rows themselves; the
+        # count is the first chunk of both states
+        configs = [ScenarioConfig(scenario="rom", alpha_ratio=ratio, visibility=0.95,
+                                  trials=3 * mc.CHUNK_TRIALS, master_seed=3)
+                   for ratio in (0.5, 1.0)]
+        poisoned_state = configs[target].state
+        original = quantum.joint_outcome00
+        calls = []
 
-    def test_all_failed_raises(self, monkeypatch):
-        def broken(config, lo, hi):
-            raise NumericalConsistencyError("injected failure")
+        def poisoned(state, z_a, z_b, inplane):
+            p = original(state, z_a, z_b, inplane)
+            if state == poisoned_state:
+                calls.append(None)
+                if len(calls) == 10:  # the second block of the second chunk
+                    p[0, 0, 5] = np.nan
+            return p
 
-        monkeypatch.setattr(mc, "_evaluate_chunk", broken)
+        monkeypatch.setattr(quantum, "joint_outcome00", poisoned)
+        bad = mc.CHUNK_TRIALS + mc._BLOCK_TRIALS + 5
+        ratio = configs[target].alpha_ratio
         with pytest.raises(ExperimentAborted) as info:
-            sweep([ScenarioConfig(scenario="rim", trials=1_000)] * 2)
-        assert info.value.trials == 2_000
+            sweep(configs)
+        assert str(info.value) == (f"non-finite probability at trial {bad} "
+                                   f"(alpha_ratio {ratio:g}, visibility 0.95)")
+        assert info.value.completed_trials == 2 * mc.CHUNK_TRIALS
+        assert info.value.trials == 6 * mc.CHUNK_TRIALS
 
 
 class TestAbort:
     def test_abort_carries_partial_progress(self, monkeypatch):
         original = mc._evaluate_chunk
 
-        def failing(config, lo, hi):
+        def failing(config, lo, hi, states=None):
             if lo >= mc.CHUNK_TRIALS:
                 raise NumericalConsistencyError("injected failure")
-            return original(config, lo, hi)
+            return original(config, lo, hi, states)
 
         monkeypatch.setattr(mc, "_evaluate_chunk", failing)
         config = ScenarioConfig(scenario="rim", trials=mc.CHUNK_TRIALS * 2)
@@ -650,11 +693,11 @@ class TestAbort:
         # count is what completed before the failing chunk, in grid order.
         original = mc._evaluate_chunk
 
-        def failing(config, lo, hi):
+        def failing(config, lo, hi, states=None):
             if lo == mc.CHUNK_TRIALS:
                 raise NumericalConsistencyError("injected failure")
             time.sleep(0.2)
-            return original(config, lo, hi)
+            return original(config, lo, hi, states)
 
         monkeypatch.setattr(mc, "_evaluate_chunk", failing)
         config = ScenarioConfig(scenario="rim", trials=3 * mc.CHUNK_TRIALS, workers=2)
@@ -690,24 +733,18 @@ class TestInterrupt:
         assert info.value.trials == 3 * mc.CHUNK_TRIALS
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("call,completed,runs", [(1, 1, 1), (3, 3, 2)])
-    def test_sweep_stops_at_the_interrupt(self, monkeypatch, call, completed, runs):
-        # two configs of two chunks each, interrupted in the first or the second
-        started = []
-        original = mc.run_experiment
-
-        def counting(config, progress=None):
-            started.append(config)
-            return original(config, progress=progress)
-
-        monkeypatch.setattr(mc, "run_experiment", counting)
-        progress, _calls = _interrupt_at(call)
-        config = ScenarioConfig(scenario="rim", trials=2 * mc.CHUNK_TRIALS)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_stops_at_the_interrupt(self, workers):
+        # one chunk loop for both states: the count is trials times states
+        progress, calls = _interrupt_at(2)
+        config = ScenarioConfig(scenario="rim", trials=3 * mc.CHUNK_TRIALS, workers=workers)
         with pytest.raises(ExperimentAborted, match="^interrupted$") as info:
-            sweep([config, config], progress=progress)
-        assert len(started) == runs
-        assert info.value.completed_trials == completed * mc.CHUNK_TRIALS
-        assert info.value.trials == 4 * mc.CHUNK_TRIALS
+            sweep([config, replace(config, alpha_ratio=0.5)], progress=progress)
+        assert isinstance(info.value.__cause__, KeyboardInterrupt)
+        assert info.value.completed_trials == 4 * mc.CHUNK_TRIALS
+        assert info.value.trials == 6 * mc.CHUNK_TRIALS
+        assert calls == [(2 * mc.CHUNK_TRIALS, 6 * mc.CHUNK_TRIALS),
+                         (4 * mc.CHUNK_TRIALS, 6 * mc.CHUNK_TRIALS)]
 
 
 class TestWilson:
