@@ -82,15 +82,15 @@ def _histogram_csv(result: ExperimentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _curve_rows(result: ExperimentResult):
+def _curve_rows(result: ExperimentResult) -> list[str]:
     c = result.curve
-    for eta, p, lo, hi in zip(c.etas, c.p_viol, c.ci_low, c.ci_high):
-        yield f"{_fmt(eta)},{_fmt(p)},{_fmt(lo)},{_fmt(hi)}"
+    return [f"{_fmt(eta)},{_fmt(p)},{_fmt(lo)},{_fmt(hi)}"
+            for eta, p, lo, hi in zip(c.etas, c.p_viol, c.ci_low, c.ci_high)]
 
 
-def _curve_csv(result: ExperimentResult) -> str:
-    lines = [_config_comment(result.config), "eta,p_viol,ci_low,ci_high"]
-    lines.extend(_curve_rows(result))
+def _curve_csv(result: ExperimentResult, rows: list[str]) -> str:
+    """curve.csv of result, given its `_curve_rows`."""
+    lines = [_config_comment(result.config), "eta,p_viol,ci_low,ci_high", *rows]
     return "\n".join(lines) + "\n"
 
 
@@ -118,11 +118,13 @@ def _curve_json(result: ExperimentResult) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _emit_result(result: ExperimentResult, out_dir: str, fmt: str) -> None:
+def _emit_result(result: ExperimentResult, out_dir: str, fmt: str,
+                 curve_rows: list[str]) -> None:
+    """Write result's tables and summary, given its `_curve_rows`."""
     os.makedirs(out_dir, exist_ok=True)
     if fmt in ("csv", "both"):
         _write_text(os.path.join(out_dir, "histogram.csv"), _histogram_csv(result))
-        _write_text(os.path.join(out_dir, "curve.csv"), _curve_csv(result))
+        _write_text(os.path.join(out_dir, "curve.csv"), _curve_csv(result, curve_rows))
     if fmt in ("json", "both"):
         _write_text(os.path.join(out_dir, "histogram.json"), _histogram_json(result))
         _write_text(os.path.join(out_dir, "curve.json"), _curve_json(result))
@@ -193,7 +195,7 @@ def cmd_run(args) -> int:
     config = _config_from_args(args, args.alpha_ratio)
     with _progress_printer() as progress:
         result = run_experiment(config, progress=progress)
-    _emit_result(result, args.out_dir, args.format)
+    _emit_result(result, args.out_dir, args.format, _curve_rows(result))
     print(json.dumps(result.summary, indent=2))
     return EXIT_OK
 
@@ -216,10 +218,11 @@ def cmd_sweep(args) -> int:
     summaries = []
     for (token, _value), entry in zip(ratios, entries):
         sub = os.path.join(args.out_dir, f"{args.scenario}_ratio_{token}")
-        _emit_result(entry.result, sub, args.format)
+        rows = _curve_rows(entry.result)
+        _emit_result(entry.result, sub, args.format, rows)
         summaries.append(entry.result.summary)
-        for row in _curve_rows(entry.result):
-            combined.append(f"{_fmt(entry.config.alpha_ratio)},{row}")
+        ratio = _fmt(entry.config.alpha_ratio)
+        combined.extend(f"{ratio},{row}" for row in rows)
     _write_text(os.path.join(args.out_dir, "combined_curves.csv"),
                 "\n".join(combined) + "\n")
     print(json.dumps(summaries, indent=2))

@@ -15,9 +15,10 @@ taken in chunk order, so results are bit-identical for any worker count,
 and a run's memory does not grow with its trial count.
 
 A sweep is the same chunk loop over several states that share the trial
-streams of one master seed (common random numbers): each block's uniforms
-and coordinate rows are made once, each state turns them into its own
-probabilities and winners, and each chunk returns a partial per state.  A
+streams of one master seed (common random numbers): each block's uniforms,
+coordinate rows and products z_a z_b are made once, each state turns them
+into its own correlator and marginal rows and winners, and each chunk
+returns a partial per state.  A
 run is the one-state case, so a sweep's entry for a state equals a run on
 that state.
 
@@ -27,11 +28,14 @@ never builds a direction: the block's uniforms come from the counter-based
 generator, the scenario's map in `sampling` turns them straight into
 correlator-coordinate rows (each setting's z-component and each setting
 pair's in-plane product), the closed-form route in `quantum` turns those
-into probability rows, and the forms follow in closed form too: on each
+into each state's correlator rows D = 2E and marginal rows, with no
+probability p00 formed, and the forms follow in closed form too: on each
 choice of two settings per party they are the CHSH expressions
 (+-S_k - 2)/4, so each run of forms that share the marginal part N needs
 one min or max of the choice's correlator rows (`_form_tables`), and the
-runs go into a running winner in form order.  No per-form sum or matrix is
+runs go into a running winner in form order.  Under min-eta only the
+violating trials run the per-run eta_req competition; the others keep
+their max-i value, one max per choice.  No per-form sum or matrix is
 built and no BLAS call is made.  The exact operator route in
 `quantum`/`chsh`, fed by the scalar samplers' directions, computes the
 same numbers one trial at a time and serves as the independent
@@ -217,7 +221,7 @@ class _Partial:
     violating: int
     below_edges: np.ndarray  # eta_req < each edge; <= for the last, as np.histogram
     at_most: np.ndarray  # eta_req <= each point of `_eta_points`
-    i_counts: np.ndarray  # I per bin of width 1 / _I_SCALE
+    i_counts: np.ndarray  # I per bin of width 1 / _I_SCALE; int32 per chunk, int64 merged
     i_sum: float
     i_top: float  # the largest I, -inf when nothing violates
     eta_min: float  # inf when nothing violates
@@ -256,17 +260,17 @@ def wilson_interval(successes: int, total: int):
 def _form_tables(settings_per_party: int):
     """The forms of `chsh.enumerate_forms`, in runs for the closed-form stage.
 
-    Write D = 2E = 8 p00 - 4 pA0 - 4 pB0 + 2 for each setting pair.  Every
-    form is I = (sign * S_k - 2) / 4 on the four pairs of its setting
-    choice, with S_k = T - D_k and T = sum(D) / 2 over the choice (the CHSH
-    expressions): its p00 coefficients are sign on three of the pairs and
-    -sign on the fourth, k.  A run is a stretch of consecutive forms of one
-    choice that share N.
+    Write D = 2E = 8 p00 - 4 pA0 - 4 pB0 + 2 for each setting pair (see
+    `quantum.doubled_correlator`).  Every form is I = (sign * S_k - 2) / 4
+    on the four pairs of its setting choice, with S_k = T - D_k and
+    T = sum(D) / 2 over the choice (the CHSH expressions): its p00
+    coefficients are sign on three of the pairs and -sign on the fourth, k.
+    A run is a stretch of consecutive forms of one choice that share N.
 
     Returns (choices, n_const, terms).  Each choice is (its four pair rows,
     its runs); a run is (the k of its forms of sign +1, those of sign -1).
     Runs are numbered in form order across choices.  A run's N is its
-    n_const plus, for each (coordinate row, coefficients) of terms, its
+    n_const plus, for each (row of `_state_rows`, coefficients) of terms, its
     coefficient (-1, 0 or +1) times that marginal row; terms lists every
     marginal row some run uses, pA0 rows before pB0 rows.
     """
@@ -305,17 +309,18 @@ _SETTINGS_FROM_UNIFORMS = {
 }
 
 
-def _probabilities(state: NoisyState, settings_per_party: int, rows: np.ndarray):
-    """Coordinate rows (in-plane products, z_A, z_B) overwritten, in place,
-    with the probability rows of the same layout (p00 for each (x, y), pA0,
-    pB0), which are returned."""
+def _state_rows(state: NoisyState, settings_per_party: int, rows: np.ndarray,
+                z_products: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One state's rows, written to `out` and returned: D = 2E for each
+    setting pair (x, y), then pA0 for each x and pB0 for each y.  They come
+    from a block's coordinate rows (in-plane products, z_A, z_B) and its
+    products z_a z_b, one row per (x, y); both are only read, so every state
+    of the block shares them."""
     s = settings_per_party
-    inplane = rows[:s * s].reshape(s, s, -1)
-    z_a, z_b = rows[s * s:s * s + s], rows[s * s + s:]
-    inplane[...] = quantum.joint_outcome00(state, z_a[:, None], z_b[None], inplane)
-    z_a[...] = quantum.marginal_outcome0(state, z_a, "A")
-    z_b[...] = quantum.marginal_outcome0(state, z_b, "B")
-    return rows
+    quantum.doubled_correlator(state, rows[:s * s], z_products, out=out[:s * s])
+    out[s * s:s * s + s] = quantum.marginal_outcome0(state, rows[s * s:s * s + s], "A")
+    out[s * s + s:] = quantum.marginal_outcome0(state, rows[s * s + s:], "B")
+    return out
 
 
 def _evaluate_chunk(config: ScenarioConfig, lo: int, hi: int, states=None):
@@ -326,41 +331,41 @@ def _evaluate_chunk(config: ScenarioConfig, lo: int, hi: int, states=None):
     and its rows come back 1-D.
 
     Each block of `_BLOCK_TRIALS` is drawn and mapped to coordinate rows
-    once, and each state runs its probabilities and forms on them in turn.
-    `_probabilities` overwrites its rows, so every state but the last works
-    on a copy in one reused buffer.  Every step is elementwise per trial
-    and the generator is counter-based, so the blocks change no bit and each
-    state's rows are those of a run on that state alone.
+    once, with the products z_a z_b, and each state writes its correlator
+    and marginal rows from them into one reused buffer and runs the forms
+    on it.  Every step is elementwise per trial and the generator is
+    counter-based, so the blocks change no bit and each state's rows are
+    those of a run on that state alone.
     """
     one = states is None
     states = (config,) if one else states
     s = config.settings_per_party
     noisy = [c.state for c in states]
-    last = len(noisy) - 1
     i_max = np.empty((len(noisy), hi - lo))
     eta = np.empty((len(noisy), hi - lo))
-    spare = None
+    own = None
     for start in range(lo, hi, _BLOCK_TRIALS):
         stop = min(start + _BLOCK_TRIALS, hi)
         block = slice(start - lo, stop - lo)
-        # the uniforms are freed once they are mapped, before the probabilities
+        # the uniforms are freed once they are mapped
         rows = _SETTINGS_FROM_UNIFORMS[config.scenario](
             sampling.uniform_block(config.master_seed, start, stop))
+        z_a, z_b = rows[s * s:s * s + s], rows[s * s + s:]
+        z_products = (z_a[:, None] * z_b[None]).reshape(s * s, -1)
+        if own is None or own.shape != rows.shape:
+            own = np.empty_like(rows)
         for k, state in enumerate(noisy):
-            own = rows
-            if k < last:
-                if spare is None or spare.shape != rows.shape:
-                    spare = np.empty_like(rows)
-                own = spare
-                np.copyto(own, rows)
-            coords = _probabilities(state, s, own)
-            finite = np.isfinite(coords).all(axis=0)
+            _state_rows(state, s, rows, z_products, own)
+            finite = np.isfinite(own).all(axis=0)
             if not finite.all():
                 bad = start + int(np.flatnonzero(~finite)[0])
                 where = "" if one else (f" (alpha_ratio {states[k].alpha_ratio:g},"
                                         f" visibility {states[k].visibility:g})")
                 raise NumericalConsistencyError(f"non-finite probability at trial {bad}{where}")
-            i_max[k, block], eta[k, block] = _forms_winner(coords, s, config.selection_policy)
+            i_max[k, block], eta[k, block] = _forms_winner(own, s, config.selection_policy)
+        # freed before the next block's map, so that the map's temporaries
+        # meet only the state rows' buffer
+        del rows, z_products
     return (i_max[0], eta[0]) if one else (i_max, eta)
 
 
@@ -375,36 +380,78 @@ def _extreme(ufunc, d, rows, out):
     return out
 
 
-def _forms_winner(coords, settings_per_party: int, policy: str):
-    """(i_max, eta_req) of each trial (column) of the probability rows.
+def _choice_total(d, pairs, out):
+    """T = sum(D) / 2 over a choice's four pairs, in out."""
+    np.add(d[pairs[0]], d[pairs[1]], out=out)
+    out += d[pairs[2]]
+    out += d[pairs[3]]
+    out *= 0.5
+    return out
 
-    Each run of `_form_tables` is one candidate: its forms share N, and
-    their best S is max(T - min D_k, max D_k - T) over its forms of sign +1
-    and -1, with no per-form sum.  I = S / 4 - 1/2 rounds monotonically
-    (and exactly where I >= -1/4), so the best I is that of the best S.
-    Runs are taken in form order and a winner is replaced only on a strict
-    improvement, so ties go to the lowest form index; as runs are numbered
-    in order, the winner is the largest run number that improved, kept
-    with a maximum rather than a masked copy, whose cost grows with how
-    mixed its mask is.  Under min-eta each run with I > 0 competes on its
-    eta_req = N / (I + N) instead.  The input rows are only read.
+
+def _max_s(d, settings_per_party: int):
+    """Each trial's largest S over every form: per choice,
+    max(T - min D, max D - T) over its four pairs.  A choice's runs take
+    every pair with each sign, and subtraction rounds monotonically, so
+    this has the bits of the max over runs in `_runs_winner`."""
+    choices = _form_tables(settings_per_party)[0]
+    batch = d.shape[1]
+    t = np.empty(batch)
+    low = np.empty(batch)
+    high = np.empty(batch)
+    s_best = np.full(batch, -np.inf)
+    for pairs, _ in choices:
+        _choice_total(d, pairs, t)
+        np.subtract(t, _extreme(np.minimum, d, pairs, low), out=low)
+        np.subtract(_extreme(np.maximum, d, pairs, high), t, out=high)
+        np.maximum(low, high, out=low)
+        np.maximum(s_best, low, out=s_best)
+    return s_best
+
+
+def _forms_winner(rows, settings_per_party: int, policy: str):
+    """(i_max, eta_req) of each trial (column) of a state's rows: D for each
+    setting pair, then pA0 and pB0 (see `_state_rows`).
+
+    Under max-i every trial runs the competition of `_runs_winner`.  Under
+    min-eta a trial with no violating form keeps its max-i value, which
+    `_max_s` gives per choice, so only the violating trials run the eta_req
+    competition, on their own columns; the result has the bits of the
+    competition over every trial.  The rows are only read.
     """
-    s = settings_per_party
-    choices, n_const, terms = _form_tables(s)
-    batch = coords.shape[1]
-    d = np.multiply(coords[:s * s], 8.0)
-    d_xy = d.reshape(s, s, batch)
-    d_xy -= 4.0 * coords[s * s:s * s + s, None]
-    d_xy -= 4.0 * coords[None, s * s + s:]
-    d += 2.0
-    min_eta = policy == "min-eta"
+    if policy != "min-eta":
+        return _runs_winner(rows, settings_per_party, False)
+    i_max = _max_s(rows, settings_per_party) * 0.25 - 0.5
+    eta = np.full(len(i_max), np.nan)
+    columns = np.flatnonzero(i_max > 0.0)
+    i_max[columns], eta[columns] = _runs_winner(rows.take(columns, axis=1),
+                                                settings_per_party, True)
+    return i_max, eta
+
+
+def _runs_winner(rows, settings_per_party: int, min_eta: bool):
+    """(i_max, eta_req) of each trial (column) of a state's rows, from the
+    runs of `_form_tables`.
+
+    Each run is one candidate: its forms share N, and their best S is
+    max(T - min D_k, max D_k - T) over its forms of sign +1 and -1, with no
+    per-form sum.  I = S / 4 - 1/2 rounds monotonically (and exactly where
+    I >= -1/4), so the best I is that of the best S.  Runs are taken in form
+    order and a winner is replaced only on a strict improvement, so ties go
+    to the lowest form index; as runs are numbered in order, the winner is
+    the largest run number that improved, kept with a maximum rather than a
+    masked copy, whose cost grows with how mixed its mask is.  Under min-eta
+    each run with I > 0 competes on its eta_req = N / (I + N) instead, and
+    every column must be a violating trial's.
+    """
+    choices, n_const, terms = _form_tables(settings_per_party)
+    batch = rows.shape[1]
     t = np.empty(batch)
     value = np.empty(batch)
     spare = np.empty(batch)
     better = np.empty(batch, dtype=bool)
     better_01 = better.view(np.uint8)
     step = np.empty(batch, dtype=np.uint8)
-    s_best = np.full(batch, -np.inf)
     winner = np.zeros(batch, dtype=np.uint8)
     if min_eta:
         i_value = np.empty(batch)
@@ -412,20 +459,19 @@ def _forms_winner(coords, settings_per_party: int, policy: str):
         violating = np.empty(batch, dtype=bool)
         eta_best = np.full(batch, np.inf)
         eta_i = np.empty(batch)
+    else:
+        s_best = np.full(batch, -np.inf)
     run = 0
     for pairs, runs in choices:
-        np.add(d[pairs[0]], d[pairs[1]], out=t)
-        t += d[pairs[2]]
-        t += d[pairs[3]]
-        t *= 0.5
+        _choice_total(rows, pairs, t)
         for plus, minus in runs:
             # value = max(t - min D[plus], max D[minus] - t); a run may
             # have forms of one sign only
             if plus:
-                np.subtract(t, _extreme(np.minimum, d, plus, value), out=value)
+                np.subtract(t, _extreme(np.minimum, rows, plus, value), out=value)
             if minus:
                 side = spare if plus else value
-                np.subtract(_extreme(np.maximum, d, minus, side), t, out=side)
+                np.subtract(_extreme(np.maximum, rows, minus, side), t, out=side)
                 if plus:
                     np.maximum(value, spare, out=value)
             if min_eta:
@@ -435,7 +481,7 @@ def _forms_winner(coords, settings_per_party: int, policy: str):
                 for row, coefficient in terms:
                     if coefficient[run]:
                         (np.add if coefficient[run] > 0 else np.subtract)(
-                            n_value, coords[row], out=n_value)
+                            n_value, rows[row], out=n_value)
                 np.add(i_value, n_value, out=spare)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     np.divide(n_value, spare, out=spare)
@@ -446,21 +492,18 @@ def _forms_winner(coords, settings_per_party: int, policy: str):
                 np.copyto(eta_i, i_value, where=better)
             else:
                 np.greater(value, s_best, out=better)
-            np.maximum(s_best, value, out=s_best)
+                np.maximum(s_best, value, out=s_best)
             np.multiply(better_01, run, out=step)
             np.maximum(winner, step, out=winner)
             run += 1
 
-    i_max = s_best * 0.25 - 0.5
+    i_max = eta_i if min_eta else s_best * 0.25 - 0.5
     violated = i_max > 0.0
-    if min_eta:
-        # a trial with no violating form keeps its max-i value
-        i_max = np.where(violated, eta_i, i_max)
     # each trial's N term by term, as `chsh.form_coefficients` sums it: its
     # one nonzero pA0 term, then its pB0 term; adding the zero terms is exact
     n_win = n_const.take(winner)
     for row, coefficient in terms:
-        n_win += coefficient.take(winner) * coords[row]
+        n_win += coefficient.take(winner) * rows[row]
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = np.where(violated, n_win / (i_max + n_win), np.nan)
     return i_max, eta
@@ -511,7 +554,8 @@ def _partial(i_max: np.ndarray, eta: np.ndarray, edges: np.ndarray,
         violating=n,
         below_edges=below_edges,
         at_most=eta.searchsorted(points, "right"),
-        i_counts=np.bincount(bins, minlength=_I_BINS),
+        # a chunk's counts fit int32, which halves what a worker sends
+        i_counts=np.bincount(bins, minlength=_I_BINS).astype(np.int32),
         i_sum=float(i_max.sum()),
         i_top=float(i_max.max()) if n else -math.inf,
         eta_min=float(eta[0]) if n else math.inf,
@@ -566,7 +610,12 @@ def _collect_chunks(config: ScenarioConfig, progress=None, states=None):
             los, his = zip(*chunks)
             parts = chunk_map(_chunk_partial, repeat(config), los, his, repeat(states))
             for hi, part in zip(his, parts):
-                totals = part if totals is None else [t.merge(p) for t, p in zip(totals, part)]
+                if totals is None:
+                    # the first partials become the totals, whose I counts
+                    # may outgrow a chunk's int32
+                    totals = [replace(p, i_counts=p.i_counts.astype(np.int64)) for p in part]
+                else:
+                    totals = [t.merge(p) for t, p in zip(totals, part)]
                 done = len(states) * hi
                 if progress is not None:
                     progress(done, total, time.perf_counter() - started)

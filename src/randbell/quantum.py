@@ -12,12 +12,15 @@ Two evaluation routes are provided and cross-checked in the test suite:
 
 * exact route: explicit 4x4 operators, `joint_probability` and
   `marginal_probability`, each the density-operator trace tr(rho M);
-* closed-form route: `joint_outcome00` / `marginal_outcome0`, which evaluate
-  the same Born-rule values from correlator coordinates and broadcast over
-  arrays of them: the z-components of the two directions and their in-plane
-  product a_x b_x + a_y b_y, the only numbers of a direction pair the state
-  below sees.  This is the hot path of the Monte Carlo kernel, fed by the
-  coordinate rows of `sampling.rim_coordinates` / `triad_coordinates`.
+* closed-form route: `joint_outcome00` / `marginal_outcome0` /
+  `doubled_correlator`, which evaluate the same Born-rule values, and the
+  correlator, from correlator coordinates and broadcast over arrays of them:
+  the z-components of the two directions and their in-plane product
+  a_x b_x + a_y b_y, the only numbers of a direction pair the state below
+  sees.  The Monte Carlo kernel's hot path takes `doubled_correlator` and
+  `marginal_outcome0` on the coordinate rows of `sampling.rim_coordinates` /
+  `triad_coordinates`, the products z_a z_b formed once for every state;
+  `joint_outcome00` is the closed-form p(0,0) its tests check against.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "marginal_probability",
     "joint_outcome00",
     "marginal_outcome0",
+    "doubled_correlator",
 ]
 
 # Basis ordering is (|00>, |01>, |10>, |11>); tensor products put the A factor
@@ -222,6 +226,21 @@ def joint_outcome00(state: NoisyState, z_a, z_b, inplane) -> np.ndarray:
     own = 0.25 * (1.0 + v * cz * z_a)
     cross = (0.25 * v) * (cz + z_a)
     return own - cross * z_b + (0.25 * v * state.pure.concurrence) * inplane
+
+
+def doubled_correlator(state: NoisyState, inplane, z_product, out=None) -> np.ndarray:
+    """D = 2E = 2 <(a.sigma) x (b.sigma)> from the in-plane product
+    a_x b_x + a_y b_y and the product z_a z_b of the z-components, which
+    broadcasts to the shape of `inplane`; writes to `out` if given.
+
+    The correlation matrix is diag(C, C, -1) scaled by V, so
+    D = 2V (C inplane - z_a z_b), which is 8 p00 - 4 pA0 - 4 pB0 + 2 with no
+    probability formed.
+    """
+    d = np.multiply(inplane, state.pure.concurrence, out=out)
+    d -= z_product
+    d *= 2.0 * state.visibility
+    return d
 
 
 def marginal_outcome0(state: NoisyState, z, party: str) -> np.ndarray:

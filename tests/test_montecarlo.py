@@ -85,11 +85,24 @@ def _dense_winner(coords, s, policy):
 
 
 def _dense_chunk(config, lo, hi):
-    """_dense_winner on the probabilities of trials [lo, hi)."""
-    s = config.settings_per_party
+    """_dense_winner on the closed-form probabilities of trials [lo, hi)."""
+    s, state = config.settings_per_party, config.state
     rows = mc._SETTINGS_FROM_UNIFORMS[config.scenario](uniform_block(config.master_seed, lo, hi))
-    coords = mc._probabilities(config.state, s, rows)
+    inplane = rows[:s * s].reshape(s, s, -1)
+    z_a, z_b = rows[s * s:s * s + s], rows[s * s + s:]
+    coords = np.concatenate([
+        quantum.joint_outcome00(state, z_a[:, None], z_b[None], inplane).reshape(s * s, -1),
+        quantum.marginal_outcome0(state, z_a, "A"), quantum.marginal_outcome0(state, z_b, "B")])
     return _dense_winner(coords.T, s, config.selection_policy)
+
+
+def _with_correlators(coords, s):
+    """The form stage's rows (D = 8 p00 - 4 pA0 - 4 pB0 + 2 for each (x, y),
+    pA0, pB0) of probability coordinates (p00 for each (x, y), pA0, pB0),
+    one trial per column; exact on tables in 64ths."""
+    pa0, pb0 = coords[s * s:s * s + s], coords[s * s + s:]
+    d = 8 * coords[:s * s].reshape(s, s, -1) - 4 * pa0[:, None] - 4 * pb0[None] + 2
+    return np.concatenate([d.reshape(s * s, -1), pa0, pb0])
 
 
 # Probability coordinates (p00 for each (x, y), pA0, pB0), in eighths, on
@@ -300,7 +313,7 @@ class TestChunkKernel:
         high = np.minimum(pa0[:, None], pb0[None])
         p00 = low + (rng.random(low.shape) * (high - low + 1)).astype(np.int64)
         coords = np.concatenate([p00.reshape(s * s, n), pa0, pb0]) / 64
-        i_max, eta = mc._forms_winner(coords, s, policy)
+        i_max, eta = mc._forms_winner(_with_correlators(coords, s), s, policy)
         ref_i, ref_eta = _dense_winner(coords.T, s, policy)
         np.testing.assert_array_equal(i_max, ref_i)
         np.testing.assert_array_equal(eta, ref_eta)
@@ -310,7 +323,7 @@ class TestChunkKernel:
     @pytest.mark.parametrize("policy", ["max-i", "min-eta"])
     def test_exact_ties_go_to_the_lowest_form(self, s, policy):
         coords = np.array(_TIED_TABLES[s], dtype=float) / 8
-        i_max, eta = mc._forms_winner(np.ascontiguousarray(coords.T), s, policy)
+        i_max, eta = mc._forms_winner(_with_correlators(coords.T, s), s, policy)
         ref_i, ref_eta = _dense_winner(coords, s, policy)
         np.testing.assert_array_equal(i_max, ref_i)
         np.testing.assert_array_equal(eta, ref_eta)
@@ -352,47 +365,47 @@ class TestChunkKernel:
         assert (eta_b[violated] < eta_a[violated]).any()
 
     def test_nan_probability_names_its_trial(self, monkeypatch):
-        original = quantum.joint_outcome00
+        original = quantum.doubled_correlator
         calls = []
 
-        def poisoned(state, z_a, z_b, inplane):
-            p = original(state, z_a, z_b, inplane)
+        def poisoned(state, inplane, z_product, out=None):
+            d = original(state, inplane, z_product, out=out)
             calls.append(None)
-            if len(calls) == 1:  # one probability of one trial
-                p[0, 0, 5] = np.nan
-            return p
+            if len(calls) == 1:  # one correlator of one trial
+                d[0, 5] = np.nan
+            return d
 
-        monkeypatch.setattr(quantum, "joint_outcome00", poisoned)
+        monkeypatch.setattr(quantum, "doubled_correlator", poisoned)
         config = ScenarioConfig(scenario="rom", master_seed=3)
         with pytest.raises(NumericalConsistencyError, match="trial 1005"):
             _evaluate_chunk(config, 1000, 1100)
 
     def test_nan_probability_in_a_later_block_names_its_trial(self, monkeypatch):
-        original = quantum.joint_outcome00
+        original = quantum.doubled_correlator
         calls = []
 
-        def poisoned(state, z_a, z_b, inplane):
-            p = original(state, z_a, z_b, inplane)
+        def poisoned(state, inplane, z_product, out=None):
+            d = original(state, inplane, z_product, out=out)
             calls.append(None)
             if len(calls) == 2:  # the second block's
-                p[0, 0, 5] = np.nan
-            return p
+                d[0, 5] = np.nan
+            return d
 
-        monkeypatch.setattr(quantum, "joint_outcome00", poisoned)
+        monkeypatch.setattr(quantum, "doubled_correlator", poisoned)
         config = ScenarioConfig(scenario="rom", master_seed=3)
         bad = 1000 + mc._BLOCK_TRIALS + 5
         with pytest.raises(NumericalConsistencyError, match=f"trial {bad}$"):
             _evaluate_chunk(config, 1000, 1000 + 2 * mc._BLOCK_TRIALS)
 
     def test_failing_trial_is_named_once(self, monkeypatch):
-        original = quantum.joint_outcome00
+        original = quantum.doubled_correlator
 
-        def poisoned(state, z_a, z_b, inplane):
-            p = original(state, z_a, z_b, inplane)
-            p[0, 1, 0] = np.nan
-            return p
+        def poisoned(state, inplane, z_product, out=None):
+            d = original(state, inplane, z_product, out=out)
+            d[1, 0] = np.nan
+            return d
 
-        monkeypatch.setattr(quantum, "joint_outcome00", poisoned)
+        monkeypatch.setattr(quantum, "doubled_correlator", poisoned)
         with pytest.raises(NumericalConsistencyError) as info:
             run_trial(ScenarioConfig(scenario="rom", master_seed=3), 7)
         assert str(info.value) == "non-finite probability at trial 7"
@@ -432,14 +445,15 @@ class TestFormTables:
                 np.testing.assert_array_equal(np.append(weights[:, f], const[f]),
                                               (sign * (t - d[k]) - 2 * one) / 4)
         # the stage's tables: per choice, its pairs and 4 runs, one per
-        # stretch of consecutive forms of one class
+        # stretch of consecutive forms of one class; they take each pair with
+        # each sign, so the max over a choice's runs is its max over pairs
         tables = mc._form_tables(s)[0]
         assert [pairs for pairs, _ in tables] == [
             (x0 * s + y0, x0 * s + y1, x1 * s + y0, x1 * s + y1)
             for (x0, x1), (y0, y1) in blocks]
-        pairs = tables[0][0]
-        assert tables[0][1] == (((pairs[3], pairs[1]), ()), ((), (pairs[1], pairs[3])),
-                                ((pairs[2],), (pairs[0],)), ((pairs[0],), (pairs[2],)))
+        for pairs, runs in tables:
+            assert runs == (((pairs[3], pairs[1]), ()), ((), (pairs[1], pairs[3])),
+                            ((pairs[2],), (pairs[0],)), ((pairs[0],), (pairs[2],)))
 
 
 class TestCoordinateRows:
@@ -448,14 +462,16 @@ class TestCoordinateRows:
     RANGES = [(mc.CHUNK_TRIALS - 1000, mc.CHUNK_TRIALS + 1000), (2 ** 40, 2 ** 40 + 500)]
 
     @pytest.mark.parametrize("scenario", ["rim", "rom", "rotm"])
-    def test_rows_are_born_probabilities_of_the_scalar_samplers(self, scenario):
-        # a noisy partially entangled state, so that every term counts
+    def test_rows_are_correlators_of_the_scalar_samplers(self, scenario):
+        # a noisy partially entangled state, so that every term counts; the
+        # exact route's D is 8 p00 - 4 pA0 - 4 pB0 + 2 of its Born values
         state = NoisyState.from_ratio(0.6, 0.9)
         s = 3 if scenario == "rotm" else 2
-        worst_coords = worst_probs = 0.0
+        worst_coords = worst_state = 0.0
         for lo, hi in self.RANGES:
             rows = mc._SETTINGS_FROM_UNIFORMS[scenario](uniform_block(17, lo, hi))
-            probs = mc._probabilities(state, s, rows.copy())
+            z_products = (rows[s * s:s * s + s, None] * rows[None, s * s + s:]).reshape(s * s, -1)
+            own = mc._state_rows(state, s, rows, z_products, np.empty_like(rows))
             for k, trial in enumerate(range(lo, hi)):
                 a_dirs, b_dirs = _exact_directions(scenario, 17, trial)
                 a, b = np.stack([d.n for d in a_dirs]), np.stack([d.n for d in b_dirs])
@@ -464,12 +480,13 @@ class TestCoordinateRows:
                 worst_coords = max(worst_coords, np.abs(rows[:, k] - expect).max())
                 pa = [projector_from_direction(d) for d in a_dirs]
                 pb = [projector_from_direction(d) for d in b_dirs]
-                born = ([joint_probability(state, m_a, m_b) for m_a in pa for m_b in pb]
-                        + [marginal_probability(state, m, "A") for m in pa]
-                        + [marginal_probability(state, m, "B") for m in pb])
-                worst_probs = max(worst_probs, np.abs(probs[:, k] - born).max())
+                born = np.array([joint_probability(state, m_a, m_b) for m_a in pa for m_b in pb]
+                                + [marginal_probability(state, m, "A") for m in pa]
+                                + [marginal_probability(state, m, "B") for m in pb])
+                worst_state = max(worst_state,
+                                  np.abs(own[:, k] - _with_correlators(born[:, None], s)[:, 0]).max())
         assert worst_coords < 1e-12
-        assert worst_probs < 1e-12
+        assert worst_state < 1e-12
 
 
 class TestWorkerIndependence:
@@ -515,6 +532,9 @@ class TestWorkerIndependence:
         np.testing.assert_array_equal(got.at_most, [(eta <= p).sum() for p in points])
         i_edges = np.arange(mc._I_BINS + 1) / mc._I_SCALE
         np.testing.assert_array_equal(got.i_counts, np.histogram(i_max, bins=i_edges)[0])
+        # a chunk sends its I counts as int32, and the merged total widens them
+        assert mc._chunk_partial(config, 0, mc.CHUNK_TRIALS, (config,))[0].i_counts.dtype == np.int32
+        assert got.i_counts.dtype == np.int64
         assert got.i_sum == sum(chunk_sums)
         assert (got.i_top, got.eta_min, got.eta_max) == (i_max.max(), eta.min(), eta.max())
 
@@ -643,25 +663,25 @@ class TestSweep:
 
     @pytest.mark.parametrize("target", [0, 1])
     def test_nan_in_one_state_aborts_the_sweep(self, monkeypatch, target):
-        # a NaN in the second chunk of one state, the first working on a copy
-        # of the shared rows and the second on the rows themselves; the
-        # count is the first chunk of both states
+        # a NaN in the second chunk of the first or the last state, each
+        # reading the shared rows into its own; the count is the first chunk
+        # of both states
         configs = [ScenarioConfig(scenario="rom", alpha_ratio=ratio, visibility=0.95,
                                   trials=3 * mc.CHUNK_TRIALS, master_seed=3)
                    for ratio in (0.5, 1.0)]
         poisoned_state = configs[target].state
-        original = quantum.joint_outcome00
+        original = quantum.doubled_correlator
         calls = []
 
-        def poisoned(state, z_a, z_b, inplane):
-            p = original(state, z_a, z_b, inplane)
+        def poisoned(state, inplane, z_product, out=None):
+            d = original(state, inplane, z_product, out=out)
             if state == poisoned_state:
                 calls.append(None)
                 if len(calls) == 10:  # the second block of the second chunk
-                    p[0, 0, 5] = np.nan
-            return p
+                    d[0, 5] = np.nan
+            return d
 
-        monkeypatch.setattr(quantum, "joint_outcome00", poisoned)
+        monkeypatch.setattr(quantum, "doubled_correlator", poisoned)
         bad = mc.CHUNK_TRIALS + mc._BLOCK_TRIALS + 5
         ratio = configs[target].alpha_ratio
         with pytest.raises(ExperimentAborted) as info:

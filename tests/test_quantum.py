@@ -16,7 +16,7 @@ from randbell import (
     marginal_probability,
     projector_from_direction,
 )
-from randbell.quantum import joint_outcome00, marginal_outcome0
+from randbell.quantum import doubled_correlator, joint_outcome00, marginal_outcome0
 from randbell.sampling import direction_from_angles
 
 MES = NoisyState.from_ratio(1.0)
@@ -192,6 +192,8 @@ class TestProbabilityInvariants:
             mb = marginal_probability(state, pb, "B")
             fb = float(marginal_outcome0(state, nb[i, 2], "B"))
             worst = max(worst, abs(mb - fb))
+            d = float(doubled_correlator(state, inplane, na[i, 2] * nb[i, 2]))
+            worst = max(worst, abs(8 * exact - 4 * ma - 4 * mb + 2 - d))
         assert worst < 1e-12
 
     @given(st.floats(0.0, 1.0), st.floats(0.1, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
