@@ -25,11 +25,11 @@ import numpy as np
 from . import chsh, sampling
 from .errors import NumericalConsistencyError
 from .montecarlo import (
-    CHUNK_TRIALS,
     ExperimentAborted,
     ExperimentResult,
     ScenarioConfig,
     _SETTINGS_FROM_UNIFORMS,
+    _chunk_grid,
     _collect_chunks,
     _evaluate_chunk,
     _usable_cpus,
@@ -248,28 +248,30 @@ def _ks_uniform_nz(nz: np.ndarray) -> float:
     return float(max(np.abs(ecdf_hi - cdf).max(), np.abs(ecdf_lo - cdf).max()))
 
 
-def _sampler_nz(scenario: str, seed: int, n: int) -> np.ndarray:
-    """n_z of one of party A's settings in the kernel's coordinate rows: the
-    second for ROM, the first for the rest.  The map is elementwise per
-    trial, so it runs a chunk at a time and keeps only that row."""
-    s = 3 if scenario == "rotm" else 2
-    row = s * s + (1 if scenario == "rom" else 0)
-    nz = np.empty(n)
-    for lo in range(0, n, CHUNK_TRIALS):
-        hi = min(lo + CHUNK_TRIALS, n)
-        nz[lo:hi] = _SETTINGS_FROM_UNIFORMS[scenario](sampling.uniform_block(seed, lo, hi))[row]
+def _sampler_nz(config: ScenarioConfig) -> np.ndarray:
+    """n_z of one of party A's settings in the kernel's coordinate rows, for
+    each of config's trials: the second for ROM, the first for the rest.
+    The map is elementwise per trial, so it runs a chunk at a time and keeps
+    only that row."""
+    s = config.settings_per_party
+    row = s * s + (1 if config.scenario == "rom" else 0)
+    nz = np.empty(config.trials)
+    for lo, hi in _chunk_grid(config.trials):
+        nz[lo:hi] = _SETTINGS_FROM_UNIFORMS[config.scenario](
+            sampling.uniform_block(config.master_seed, lo, hi))[row]
     return nz
 
 
-def _exact_settings(scenario: str, seed: int, trial: int):
-    """A trial's directions for each party from the scalar samplers."""
-    rng = sampling.RandomSource(seed, trial)
-    if scenario == "rim":
+def _exact_settings(config: ScenarioConfig, trial: int):
+    """A trial's directions for each party from the scalar samplers, on
+    config's trial streams."""
+    rng = sampling.RandomSource(config.master_seed, trial)
+    if config.scenario == "rim":
         a_dirs = tuple(sampling.sample_direction(rng) for _ in range(2))
         b_dirs = tuple(sampling.sample_direction(rng) for _ in range(2))
         return a_dirs, b_dirs
     # ROM takes the first two axes of each party's triad, ROTM all three
-    s = 3 if scenario == "rotm" else 2
+    s = config.settings_per_party
     a = sampling.sample_orthogonal_triad(rng)
     b = sampling.sample_orthogonal_triad(rng)
     return (a.d1, a.d2, a.d3)[:s], (b.d1, b.d2, b.d3)[:s]
@@ -314,7 +316,8 @@ def cmd_verify(args) -> int:
 
     # Sampler uniformity of n_z for each scenario's direction stream.
     for scenario in ("rim", "rom", "rotm"):
-        ks = _ks_uniform_nz(_sampler_nz(scenario, args.seed + 1, 1_000_000))
+        ks = _ks_uniform_nz(_sampler_nz(ScenarioConfig(
+            scenario=scenario, trials=1_000_000, master_seed=args.seed + 1)))
         ok &= _check(f"sampler uniformity ({scenario})", ks <= 0.005,
                      f"KS distance of n_z = {ks:.5f} (limit 0.005)")
 
@@ -335,7 +338,7 @@ def cmd_verify(args) -> int:
         trial = 0
         while checked < 500 and trial < len(i_max):
             table = chsh.build_probability_table(
-                config.state, *_exact_settings(scenario, config.master_seed, trial))
+                config.state, *_exact_settings(config, trial))
             record = chsh.max_violation(table, forms, policy=policy)
             max_di = max(max_di, abs(record.i_value - i_max[trial]))
             if i_max[trial] > 0.0:
@@ -357,13 +360,13 @@ def cmd_verify(args) -> int:
     # builds, on random states with the settings sampler of the cross-check
     # above.
     rng_np = np.random.default_rng(args.seed + 2)
+    streams = ScenarioConfig(scenario=scenario, master_seed=args.seed + 3)
     table_ok = True
     for _ in range(2_000):
         ratio = float(rng_np.uniform(0.2, 1.0))
         vis = float(rng_np.choice([1.0, rng_np.uniform(0.0, 1.0)]))
         state = NoisyState.from_ratio(ratio, vis)
-        directions = _exact_settings(scenario, args.seed + 3,
-                                     int(rng_np.integers(0, 2 ** 32)))
+        directions = _exact_settings(streams, int(rng_np.integers(0, 2 ** 32)))
         try:
             chsh.build_probability_table(state, *directions)
         except NumericalConsistencyError:

@@ -32,10 +32,11 @@ into each state's correlator rows D = 2E and marginal rows, with no
 probability p00 formed, and the forms follow in closed form too: on each
 choice of two settings per party they are the CHSH expressions
 (+-S_k - 2)/4, so each run of forms that share the marginal part N needs
-one min or max of the choice's correlator rows (`_form_tables`), and the
-runs go into a running winner in form order.  Under min-eta only the
-violating trials run the per-run eta_req competition; the others keep
-their max-i value, one max per choice.  No per-form sum or matrix is
+one min or max of the choice's correlator rows (`_form_tables`).  One
+loop over the runs (`_run_values`) feeds both policies: max-i keeps a
+running winner in form order; min-eta keeps the running max, and then only
+the violating trials run the per-run eta_req competition, on their own
+columns.  No per-form sum or matrix is
 built and no BLAS call is made.  The exact operator route in
 `quantum`/`chsh`, fed by the scalar samplers' directions, computes the
 same numbers one trial at a time and serves as the independent
@@ -389,84 +390,21 @@ def _choice_total(d, pairs, out):
     return out
 
 
-def _max_s(d, settings_per_party: int):
-    """Each trial's largest S over every form: per choice,
-    max(T - min D, max D - T) over its four pairs.  A choice's runs take
-    every pair with each sign, and subtraction rounds monotonically, so
-    this has the bits of the max over runs in `_runs_winner`."""
-    choices = _form_tables(settings_per_party)[0]
-    batch = d.shape[1]
-    t = np.empty(batch)
-    low = np.empty(batch)
-    high = np.empty(batch)
-    s_best = np.full(batch, -np.inf)
-    for pairs, _ in choices:
-        _choice_total(d, pairs, t)
-        np.subtract(t, _extreme(np.minimum, d, pairs, low), out=low)
-        np.subtract(_extreme(np.maximum, d, pairs, high), t, out=high)
-        np.maximum(low, high, out=low)
-        np.maximum(s_best, low, out=s_best)
-    return s_best
+def _run_values(rows, settings_per_party: int):
+    """The best S of each run of `_form_tables`, in run order, for each
+    trial (column) of a state's rows, in one row that each run overwrites.
 
-
-def _forms_winner(rows, settings_per_party: int, policy: str):
-    """(i_max, eta_req) of each trial (column) of a state's rows: D for each
-    setting pair, then pA0 and pB0 (see `_state_rows`).
-
-    Under max-i every trial runs the competition of `_runs_winner`.  Under
-    min-eta a trial with no violating form keeps its max-i value, which
-    `_max_s` gives per choice, so only the violating trials run the eta_req
-    competition, on their own columns; the result has the bits of the
-    competition over every trial.  The rows are only read.
+    A run's forms share N, and their best S is max(T - min D_k, max D_k - T)
+    over its forms of sign +1 and -1, with no per-form sum.
     """
-    if policy != "min-eta":
-        return _runs_winner(rows, settings_per_party, False)
-    i_max = _max_s(rows, settings_per_party) * 0.25 - 0.5
-    eta = np.full(len(i_max), np.nan)
-    columns = np.flatnonzero(i_max > 0.0)
-    i_max[columns], eta[columns] = _runs_winner(rows.take(columns, axis=1),
-                                                settings_per_party, True)
-    return i_max, eta
-
-
-def _runs_winner(rows, settings_per_party: int, min_eta: bool):
-    """(i_max, eta_req) of each trial (column) of a state's rows, from the
-    runs of `_form_tables`.
-
-    Each run is one candidate: its forms share N, and their best S is
-    max(T - min D_k, max D_k - T) over its forms of sign +1 and -1, with no
-    per-form sum.  I = S / 4 - 1/2 rounds monotonically (and exactly where
-    I >= -1/4), so the best I is that of the best S.  Runs are taken in form
-    order and a winner is replaced only on a strict improvement, so ties go
-    to the lowest form index; as runs are numbered in order, the winner is
-    the largest run number that improved, kept with a maximum rather than a
-    masked copy, whose cost grows with how mixed its mask is.  Under min-eta
-    each run with I > 0 competes on its eta_req = N / (I + N) instead, and
-    every column must be a violating trial's.
-    """
-    choices, n_const, terms = _form_tables(settings_per_party)
     batch = rows.shape[1]
     t = np.empty(batch)
     value = np.empty(batch)
     spare = np.empty(batch)
-    better = np.empty(batch, dtype=bool)
-    better_01 = better.view(np.uint8)
-    step = np.empty(batch, dtype=np.uint8)
-    winner = np.zeros(batch, dtype=np.uint8)
-    if min_eta:
-        i_value = np.empty(batch)
-        n_value = np.empty(batch)
-        violating = np.empty(batch, dtype=bool)
-        eta_best = np.full(batch, np.inf)
-        eta_i = np.empty(batch)
-    else:
-        s_best = np.full(batch, -np.inf)
-    run = 0
-    for pairs, runs in choices:
+    for pairs, runs in _form_tables(settings_per_party)[0]:
         _choice_total(rows, pairs, t)
         for plus, minus in runs:
-            # value = max(t - min D[plus], max D[minus] - t); a run may
-            # have forms of one sign only
+            # a run may have forms of one sign only
             if plus:
                 np.subtract(t, _extreme(np.minimum, rows, plus, value), out=value)
             if minus:
@@ -474,39 +412,88 @@ def _runs_winner(rows, settings_per_party: int, min_eta: bool):
                 np.subtract(_extreme(np.maximum, rows, minus, side), t, out=side)
                 if plus:
                     np.maximum(value, spare, out=value)
-            if min_eta:
-                np.multiply(value, 0.25, out=i_value)
-                i_value -= 0.5
-                n_value.fill(n_const[run])
-                for row, coefficient in terms:
-                    if coefficient[run]:
-                        (np.add if coefficient[run] > 0 else np.subtract)(
-                            n_value, rows[row], out=n_value)
-                np.add(i_value, n_value, out=spare)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    np.divide(n_value, spare, out=spare)
-                np.less(spare, eta_best, out=better)
-                np.greater(i_value, 0.0, out=violating)
-                better &= violating
-                np.copyto(eta_best, spare, where=better)
-                np.copyto(eta_i, i_value, where=better)
-            else:
-                np.greater(value, s_best, out=better)
-                np.maximum(s_best, value, out=s_best)
-            np.multiply(better_01, run, out=step)
-            np.maximum(winner, step, out=winner)
-            run += 1
+            yield value
 
-    i_max = eta_i if min_eta else s_best * 0.25 - 0.5
-    violated = i_max > 0.0
+
+def _forms_winner(rows, settings_per_party: int, policy: str):
+    """(i_max, eta_req) of each trial (column) of a state's rows: D for each
+    setting pair, then pA0 and pB0 (see `_state_rows`); the rows are only
+    read.
+
+    Both policies take the runs of `_run_values`.  I = S / 4 - 1/2 rounds
+    monotonically (and exactly where I >= -1/4), so the best I is that of
+    the best S.  Under max-i, runs are taken in form order and a winner is
+    replaced only on a strict improvement, so ties go to the lowest form
+    index; as runs are numbered in order, the winner is the largest run
+    number that improved, kept with a maximum rather than a masked copy,
+    whose cost grows with how mixed its mask is, and its N gives eta_req.
+    Under min-eta a trial with no violating form keeps its max-i value, the
+    max over runs, so only the violating trials run the eta_req competition
+    of `_min_eta_runs`, on their own columns.
+    """
+    batch = rows.shape[1]
+    s_best = np.full(batch, -np.inf)
+    if policy == "min-eta":
+        for value in _run_values(rows, settings_per_party):
+            np.maximum(s_best, value, out=s_best)
+        i_max = s_best * 0.25 - 0.5
+        eta = np.full(batch, np.nan)
+        columns = np.flatnonzero(i_max > 0.0)
+        i_max[columns], eta[columns] = _min_eta_runs(rows.take(columns, axis=1),
+                                                     settings_per_party)
+        return i_max, eta
+    better = np.empty(batch, dtype=bool)
+    better_01 = better.view(np.uint8)
+    step = np.empty(batch, dtype=np.uint8)
+    winner = np.zeros(batch, dtype=np.uint8)
+    for run, value in enumerate(_run_values(rows, settings_per_party)):
+        np.greater(value, s_best, out=better)
+        np.maximum(s_best, value, out=s_best)
+        np.multiply(better_01, run, out=step)
+        np.maximum(winner, step, out=winner)
+    i_max = s_best * 0.25 - 0.5
     # each trial's N term by term, as `chsh.form_coefficients` sums it: its
     # one nonzero pA0 term, then its pB0 term; adding the zero terms is exact
+    _, n_const, terms = _form_tables(settings_per_party)
     n_win = n_const.take(winner)
     for row, coefficient in terms:
         n_win += coefficient.take(winner) * rows[row]
     with np.errstate(divide="ignore", invalid="ignore"):
-        eta = np.where(violated, n_win / (i_max + n_win), np.nan)
+        eta = np.where(i_max > 0.0, n_win / (i_max + n_win), np.nan)
     return i_max, eta
+
+
+def _min_eta_runs(rows, settings_per_party: int):
+    """(I, eta_req) of the least eta_req = N / (I + N) over the runs with
+    I > 0, for each trial (column) of a state's rows; every column must be
+    a violating trial's.  Ties go to the lowest form index.
+    """
+    _, n_const, terms = _form_tables(settings_per_party)
+    batch = rows.shape[1]
+    i_value = np.empty(batch)
+    n_value = np.empty(batch)
+    eta_value = np.empty(batch)
+    better = np.empty(batch, dtype=bool)
+    violating = np.empty(batch, dtype=bool)
+    i_best = np.empty(batch)
+    eta_best = np.full(batch, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for run, value in enumerate(_run_values(rows, settings_per_party)):
+            np.multiply(value, 0.25, out=i_value)
+            i_value -= 0.5
+            n_value.fill(n_const[run])
+            for row, coefficient in terms:
+                if coefficient[run]:
+                    (np.add if coefficient[run] > 0 else np.subtract)(
+                        n_value, rows[row], out=n_value)
+            np.add(i_value, n_value, out=eta_value)
+            np.divide(n_value, eta_value, out=eta_value)
+            np.less(eta_value, eta_best, out=better)
+            np.greater(i_value, 0.0, out=violating)
+            better &= violating
+            np.copyto(eta_best, eta_value, where=better)
+            np.copyto(i_best, i_value, where=better)
+    return i_best, eta_best
 
 
 def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:

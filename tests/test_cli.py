@@ -294,14 +294,15 @@ class TestVerify:
         # elementwise per trial, so the sample is the one-block row
         n = 2 * mc.CHUNK_TRIALS + 123
         rows = mc._SETTINGS_FROM_UNIFORMS[scenario](randbell.sampling.uniform_block(5, 0, n))
-        np.testing.assert_array_equal(cli._sampler_nz(scenario, 5, n), rows[row])
+        config = mc.ScenarioConfig(scenario=scenario, trials=n, master_seed=5)
+        np.testing.assert_array_equal(cli._sampler_nz(config), rows[row])
 
     def test_exact_settings_match_the_rom_kernel(self):
         # verify runs the RIM and ROTM kernels; ROM takes two triad axes
         config = mc.ScenarioConfig(scenario="rom", alpha_ratio=0.6, master_seed=13)
         forms = chsh.enumerate_forms(config.settings_per_party)
         for trial in range(40):
-            a_dirs, b_dirs = _exact_settings("rom", config.master_seed, trial)
+            a_dirs, b_dirs = _exact_settings(config, trial)
             assert len(a_dirs) == len(b_dirs) == config.settings_per_party
             record = chsh.max_violation(
                 chsh.build_probability_table(config.state, a_dirs, b_dirs), forms)

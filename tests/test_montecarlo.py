@@ -192,6 +192,7 @@ class TestRunTrial:
             fast = run_trial(config, i)
             exact = _exact_trial(config, i)
             assert abs(fast.i_max - exact.i_value) < 1e-12
+            assert fast.violated == (exact.eta_req is not None)
             if fast.violated:
                 assert abs(fast.eta_req - exact.eta_req) < 1e-10
 
@@ -363,6 +364,11 @@ class TestChunkKernel:
         violated = i_a > 0
         assert (eta_b[violated] <= eta_a[violated]).all()
         assert (eta_b[violated] < eta_a[violated]).any()
+        # min-eta's max over runs leaves a non-violating trial's I as max-i's,
+        # and eta_req is set exactly on the violating trials
+        assert i_b[~violated].tobytes() == i_a[~violated].tobytes()
+        assert np.isnan(eta_b[~violated]).all()
+        assert not np.isnan(eta_b[violated]).any()
 
     def test_nan_probability_names_its_trial(self, monkeypatch):
         original = quantum.doubled_correlator
@@ -445,8 +451,8 @@ class TestFormTables:
                 np.testing.assert_array_equal(np.append(weights[:, f], const[f]),
                                               (sign * (t - d[k]) - 2 * one) / 4)
         # the stage's tables: per choice, its pairs and 4 runs, one per
-        # stretch of consecutive forms of one class; they take each pair with
-        # each sign, so the max over a choice's runs is its max over pairs
+        # stretch of consecutive forms of one class, each with the pairs of
+        # its forms of sign +1 and of sign -1
         tables = mc._form_tables(s)[0]
         assert [pairs for pairs, _ in tables] == [
             (x0 * s + y0, x0 * s + y1, x1 * s + y0, x1 * s + y1)
