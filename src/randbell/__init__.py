@@ -38,7 +38,6 @@ from .montecarlo import (
     ExperimentAborted,
     ExperimentResult,
     ScenarioConfig,
-    SweepEntry,
     TrialOutcome,
     ViolationCurve,
     run_experiment,
@@ -83,7 +82,6 @@ __all__ = [
     "EfficiencyHistogram",
     "ViolationCurve",
     "ExperimentResult",
-    "SweepEntry",
     "ExperimentAborted",
     "run_trial",
     "run_experiment",

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 
@@ -158,16 +157,12 @@ def _progress_printer():
 
 
 def _parse_ratios(text: str) -> list[tuple[str, float]]:
+    """(token, value) of each ratio in a comma-separated list; the config
+    checks the values."""
     tokens = [tok.strip() for tok in text.split(",")]
-    out = []
-    for tok in tokens:
-        if not tok:
-            raise ValueError("empty ratio in list")
-        value = float(tok)
-        if not (value > 0) or not math.isfinite(value):
-            raise ValueError(f"alpha ratio must be positive and finite, got {tok}")
-        out.append((tok, value))
-    return out
+    if not all(tokens):
+        raise ValueError("empty ratio in list")
+    return [(tok, float(tok)) for tok in tokens]
 
 
 def _parse_eta_grid(text: str) -> tuple[float, float, float]:
@@ -204,7 +199,7 @@ def cmd_sweep(args) -> int:
     ratios = _parse_ratios(args.alpha_ratios)
     configs = [_config_from_args(args, value) for _, value in ratios]
     with _progress_printer() as progress:
-        entries = sweep(configs, progress=progress)
+        results = sweep(configs, progress=progress)
     os.makedirs(args.out_dir, exist_ok=True)
 
     combined = [
@@ -216,12 +211,12 @@ def cmd_sweep(args) -> int:
         "alpha_ratio,eta,p_viol,ci_low,ci_high",
     ]
     summaries = []
-    for (token, _value), entry in zip(ratios, entries):
+    for (token, _value), result in zip(ratios, results):
         sub = os.path.join(args.out_dir, f"{args.scenario}_ratio_{token}")
-        rows = _curve_rows(entry.result)
-        _emit_result(entry.result, sub, args.format, rows)
-        summaries.append(entry.result.summary)
-        ratio = _fmt(entry.config.alpha_ratio)
+        rows = _curve_rows(result)
+        _emit_result(result, sub, args.format, rows)
+        summaries.append(result.summary)
+        ratio = _fmt(result.config.alpha_ratio)
         combined.extend(f"{ratio},{row}" for row in rows)
     _write_text(os.path.join(args.out_dir, "combined_curves.csv"),
                 "\n".join(combined) + "\n")
@@ -304,7 +299,7 @@ def cmd_verify(args) -> int:
         config = ScenarioConfig(scenario=scenario, alpha_ratio=ratio,
                                 trials=int(total * fraction),
                                 master_seed=args.seed, workers=args.workers)
-        merged = _collect_chunks(config)
+        (merged,) = _collect_chunks(config)
         i_top = max(i_top, merged.i_top)
         eta_floor = min(eta_floor, merged.eta_min)
     cap = 0.2071068 + 1e-9
@@ -330,7 +325,7 @@ def cmd_verify(args) -> int:
         config = ScenarioConfig(scenario=scenario, alpha_ratio=0.6, visibility=0.95,
                                 trials=1, master_seed=args.seed, selection_policy=policy)
         # the kernel's rows of the trials the loop may check, in one chunk
-        i_max, eta = _evaluate_chunk(config, 0, 20_000)
+        (i_max,), (eta,) = _evaluate_chunk(config, 0, 20_000)
         checked = 0
         max_di = 0.0
         max_de = 0.0

@@ -14,13 +14,12 @@ merged in chunk order.  Integer counts merge exactly and the float sum is
 taken in chunk order, so results are bit-identical for any worker count,
 and a run's memory does not grow with its trial count.
 
-A sweep is the same chunk loop over several states that share the trial
-streams of one master seed (common random numbers): each block's uniforms,
-coordinate rows and products z_a z_b are made once, each state turns them
-into its own correlator and marginal rows and winners, and each chunk
-returns a partial per state.  A
-run is the one-state case, so a sweep's entry for a state equals a run on
-that state.
+Runs and sweeps take one chunk loop over a set of states that share the
+trial streams of one master seed (common random numbers).  Each block's
+uniforms, coordinate rows and products z_a z_b are made once, each state
+turns them into its own correlator and marginal rows and winners, and each
+chunk returns a partial per state.  A run is the one-state set, so a
+sweep's result for a state equals a run on that state.
 
 The per-trial evaluation is vectorized over a block of a chunk's trials,
 the blocks taken in order so that a block's rows stay cache-resident, and
@@ -72,7 +71,6 @@ __all__ = [
     "EfficiencyHistogram",
     "ViolationCurve",
     "ExperimentResult",
-    "SweepEntry",
     "ExperimentAborted",
     "run_trial",
     "run_experiment",
@@ -203,12 +201,6 @@ class ExperimentResult:
     summary: dict
 
 
-@dataclass(frozen=True)
-class SweepEntry:
-    config: ScenarioConfig
-    result: ExperimentResult
-
-
 @dataclass
 class _Partial:
     """What aggregation needs of the violating trials of some chunks.
@@ -326,10 +318,9 @@ def _state_rows(state: NoisyState, settings_per_party: int, rows: np.ndarray,
 
 def _evaluate_chunk(config: ScenarioConfig, lo: int, hi: int, states=None):
     """Evaluate trials [lo, hi) of config's trial streams in each config of
-    `states`; returns (i_max, eta_req) arrays with one row per state, eta
-    NaN when the trial is not violated.  `states` differ from config in
-    alpha_ratio and visibility only; without them, config is the one state
-    and its rows come back 1-D.
+    `states`, by default config alone; returns (i_max, eta_req) arrays of
+    shape (states, trials), eta NaN when the trial is not violated.
+    `states` differ from config in alpha_ratio and visibility only.
 
     Each block of `_BLOCK_TRIALS` is drawn and mapped to coordinate rows
     once, with the products z_a z_b, and each state writes its correlator
@@ -338,8 +329,7 @@ def _evaluate_chunk(config: ScenarioConfig, lo: int, hi: int, states=None):
     counter-based, so the blocks change no bit and each state's rows are
     those of a run on that state alone.
     """
-    one = states is None
-    states = (config,) if one else states
+    states = states or (config,)
     s = config.settings_per_party
     noisy = [c.state for c in states]
     i_max = np.empty((len(noisy), hi - lo))
@@ -360,14 +350,15 @@ def _evaluate_chunk(config: ScenarioConfig, lo: int, hi: int, states=None):
             finite = np.isfinite(own).all(axis=0)
             if not finite.all():
                 bad = start + int(np.flatnonzero(~finite)[0])
-                where = "" if one else (f" (alpha_ratio {states[k].alpha_ratio:g},"
-                                        f" visibility {states[k].visibility:g})")
+                where = "" if len(states) == 1 else (
+                    f" (alpha_ratio {states[k].alpha_ratio:g},"
+                    f" visibility {states[k].visibility:g})")
                 raise NumericalConsistencyError(f"non-finite probability at trial {bad}{where}")
             i_max[k, block], eta[k, block] = _forms_winner(own, s, config.selection_policy)
         # freed before the next block's map, so that the map's temporaries
         # meet only the state rows' buffer
         del rows, z_products
-    return (i_max[0], eta[0]) if one else (i_max, eta)
+    return i_max, eta
 
 
 def _extreme(ufunc, d, rows, out):
@@ -500,13 +491,13 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     """Outcome of one trial; a pure function of (config, trial_index)."""
     if not (0 <= trial_index):
         raise ValueError("trial_index must be non-negative")
-    i_max, eta = _evaluate_chunk(config, trial_index, trial_index + 1)
-    violated = bool(i_max[0] > 0.0)
+    [[i_max]], [[eta]] = _evaluate_chunk(config, trial_index, trial_index + 1)
+    violated = bool(i_max > 0.0)
     return TrialOutcome(
         trial_index=trial_index,
-        i_max=float(i_max[0]),
+        i_max=float(i_max),
         violated=violated,
-        eta_req=float(eta[0]) if violated else None,
+        eta_req=float(eta) if violated else None,
     )
 
 
@@ -563,11 +554,11 @@ def _chunk_partial(config: ScenarioConfig, lo: int, hi: int, states) -> list[_Pa
 
 
 def _collect_chunks(config: ScenarioConfig, progress=None, states=None):
-    """The merged partial of every chunk of each config of `states`.
+    """The merged partial of every chunk, one per config of `states`, by
+    default config alone.
 
     `states` share config's trial streams and differ from it in alpha_ratio
-    and visibility only; without them, config is the one state and its
-    partial is returned alone.  Chunks are consumed in grid order, in this
+    and visibility only.  Chunks are consumed in grid order, in this
     process for one worker and from a process pool otherwise, and each
     state's partial is merged into its first as it arrives, so peak memory
     is one partial per state plus the chunks in flight, whatever the trial
@@ -576,8 +567,7 @@ def _collect_chunks(config: ScenarioConfig, progress=None, states=None):
     whole run with the count of trials completed, in order, before it; any
     exception cancels the pending chunks.
     """
-    one = states is None
-    states = (config,) if one else states
+    states = states or (config,)
     chunks = _chunk_grid(config.trials)
     total = len(states) * config.trials
     started = time.perf_counter()
@@ -610,7 +600,7 @@ def _collect_chunks(config: ScenarioConfig, progress=None, states=None):
         raise ExperimentAborted(str(exc), completed_trials=done, trials=total) from exc
     except KeyboardInterrupt as exc:
         raise ExperimentAborted("interrupted", completed_trials=done, trials=total) from exc
-    return totals[0] if one else totals
+    return totals
 
 
 def _median_estimate(total: _Partial):
@@ -727,7 +717,7 @@ def run_experiment(config: ScenarioConfig, progress=None) -> ExperimentResult:
     return _results([config], progress)[0]
 
 
-def sweep(configs: list[ScenarioConfig], progress=None) -> list[SweepEntry]:
+def sweep(configs: list[ScenarioConfig], progress=None) -> list[ExperimentResult]:
     """Run several states on common random numbers: one trial-index space.
 
     The configs may differ in alpha_ratio and visibility only, else
@@ -735,7 +725,7 @@ def sweep(configs: list[ScenarioConfig], progress=None) -> list[SweepEntry]:
     of the shared master seed, in one chunk loop, so the generator and the
     settings map run once per block for all of them, differences between
     states carry far less noise than between independent runs (Glasserman,
-    Monte Carlo Methods in Financial Engineering (2003), 4.1), and entry k
+    Monte Carlo Methods in Financial Engineering (2003), 4.1), and result k
     equals run_experiment(configs[k]) byte for byte, but for the wall time.
     Progress counts trials times states.  A non-finite probability in any
     state, a dead worker or an interrupt aborts the whole sweep with
@@ -748,5 +738,4 @@ def sweep(configs: list[ScenarioConfig], progress=None) -> list[SweepEntry]:
     for config in configs[1:]:
         if replace(config, alpha_ratio=first.alpha_ratio, visibility=first.visibility) != first:
             raise ValueError("a sweep's configs may differ in alpha_ratio and visibility only")
-    return [SweepEntry(config=result.config, result=result)
-            for result in _results(configs, progress)]
+    return _results(configs, progress)

@@ -70,8 +70,8 @@ def rotm_mes_1m():
     return _run("rotm", 1.0, 1_000_000)
 
 
-def _max_over_states(entries, eta_key):
-    return max(e.result.summary["p_viol"][eta_key] for e in entries)
+def _max_over_states(results, eta_key):
+    return max(r.summary["p_viol"][eta_key] for r in results)
 
 
 def test_criterion_1_rim_mes_eta1():
@@ -158,7 +158,8 @@ class TestCriterion10:
         for scenario, ratio, trials in mixes:
             config = ScenarioConfig(scenario=scenario, alpha_ratio=ratio,
                                     trials=trials, master_seed=1)
-            top = max(top, _collect_chunks(config).i_top)
+            (merged,) = _collect_chunks(config)
+            top = max(top, merged.i_top)
         cap = 0.2071068 + 1e-9
         _report(10, f"(b) Tsirelson cap over 10^6 trials: max I = {top:.9f} "
                     f"<= {cap:.9f}",
@@ -243,11 +244,11 @@ class TestSweepConsistency:
     """Cross-state sanity on the full-size sweeps (not a numbered criterion)."""
 
     def test_mes_most_robust_at_eta1(self, rim_sweep_4m, rom_sweep_4m):
-        for entries in (rim_sweep_4m, rom_sweep_4m):
-            p_by_ratio = {e.config.alpha_ratio: e.result.summary["p_viol"]["1"]
-                          for e in entries}
+        for results in (rim_sweep_4m, rom_sweep_4m):
+            p_by_ratio = {r.config.alpha_ratio: r.summary["p_viol"]["1"]
+                          for r in results}
             assert p_by_ratio[1.0] >= p_by_ratio[0.75] >= p_by_ratio[0.5]
 
     def test_mes_floor_in_sweeps(self, rim_sweep_4m):
-        mes_entry = [e for e in rim_sweep_4m if e.config.alpha_ratio == 1.0][0]
-        assert mes_entry.result.summary["min_eta_req"] >= ETA_CRIT_MES - 1e-9
+        mes = [r for r in rim_sweep_4m if r.config.alpha_ratio == 1.0][0]
+        assert mes.summary["min_eta_req"] >= ETA_CRIT_MES - 1e-9

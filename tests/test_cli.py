@@ -231,11 +231,12 @@ class TestSweep:
         a = (sweep_dir / "rom_ratio_1.0" / "curve.csv").read_bytes()
         assert a == (run_dir / "curve.csv").read_bytes()
 
-    def test_malformed_ratios(self, capsys):
-        assert _run(["sweep", "--scenario", "rim", "--alpha-ratios", "0.5,,1.0",
-                     "--trials", "1000"]) == 1
-        assert _run(["sweep", "--scenario", "rim", "--alpha-ratios", "abc",
-                     "--trials", "1000"]) == 1
+    def test_malformed_ratios(self, tmp_path, capsys):
+        for ratios in ("0.5,,1.0", "abc", "0.5,-1", "0.5,0", "0.5,inf", "0.5,nan"):
+            out = tmp_path / "out"
+            assert _run(["sweep", "--scenario", "rim", "--alpha-ratios", ratios,
+                         "--trials", "1000", "--out-dir", str(out)]) == 1, ratios
+            assert not out.exists(), ratios
 
 
 class TestOutputDigests:

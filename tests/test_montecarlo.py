@@ -201,7 +201,7 @@ class TestRunTrial:
     def test_single_trial_equals_its_chunk_row(self, scenario, policy):
         config = ScenarioConfig(scenario=scenario, alpha_ratio=0.5, visibility=0.95,
                                 master_seed=7, selection_policy=policy)
-        i_max, eta = _evaluate_chunk(config, 0, 40)
+        (i_max,), (eta,) = _evaluate_chunk(config, 0, 40)
         for i in range(40):
             outcome = run_trial(config, i)
             assert outcome.i_max == i_max[i]
@@ -220,13 +220,14 @@ class TestRunTrial:
         split = zip(_evaluate_chunk(config, lo, lo + 5000),
                     _evaluate_chunk(config, lo + 5000, hi))
         for got, parts in zip(whole, split):
-            assert got.tobytes() == np.concatenate(parts).tobytes()
+            assert got.tobytes() == np.concatenate(parts, axis=1).tobytes()
+        (i_max,), (eta,) = whole
         ends = [lo, lo + block - 1, lo + block, lo + 2 * block - 1, lo + 2 * block, hi - 1]
         inner = np.random.default_rng(0).choice(np.arange(lo + 1, hi - 1), 14, replace=False)
         for trial in ends + inner.tolist():
             outcome = run_trial(config, trial)
-            assert outcome.i_max == whole[0][trial - lo]
-            assert outcome.eta_req == (whole[1][trial - lo] if outcome.violated else None)
+            assert outcome.i_max == i_max[trial - lo]
+            assert outcome.eta_req == (eta[trial - lo] if outcome.violated else None)
 
     def test_negative_index(self):
         with pytest.raises(ValueError):
@@ -271,9 +272,9 @@ class TestRunExperiment:
 
     def test_trial_outcomes_match_experiment(self, small_run):
         config = small_run.config
-        i_max, eta = _evaluate_chunk(config, 123, 124)
+        [[i_max]], _ = _evaluate_chunk(config, 123, 124)
         outcome = run_trial(config, 123)
-        assert outcome.i_max == i_max[0]
+        assert outcome.i_max == i_max
 
     def test_rim_mes_probability(self, small_run):
         # loose 6-sigma band around the known random-isotropic value
@@ -292,7 +293,7 @@ class TestChunkKernel:
         config = ScenarioConfig(scenario=scenario, alpha_ratio=0.6, visibility=visibility,
                                 master_seed=31, selection_policy=policy)
         for lo, hi in ((0, 4096), (70_000, 70_500)):
-            i_max, eta = _evaluate_chunk(config, lo, hi)
+            (i_max,), (eta,) = _evaluate_chunk(config, lo, hi)
             ref_i, ref_eta = _dense_chunk(config, lo, hi)
             np.testing.assert_array_equal(i_max > 0.0, ref_i > 0.0)
             np.testing.assert_array_equal(np.isnan(eta), np.isnan(ref_eta))
@@ -333,19 +334,23 @@ class TestChunkKernel:
         # ROM's settings are ROTM's first two axes on the same uniforms, and
         # its 8 forms are among ROTM's 72, so no trial can do better
         lo, hi = 3 * mc.CHUNK_TRIALS, 4 * mc.CHUNK_TRIALS
-        i_max = {scenario: _evaluate_chunk(ScenarioConfig(scenario=scenario, alpha_ratio=0.5,
-                                                          visibility=0.95, master_seed=19),
-                                           lo, hi)[0]
-                 for scenario in ("rom", "rotm")}
+        i_max = {}
+        for scenario in ("rom", "rotm"):
+            (i_max[scenario],), _ = _evaluate_chunk(
+                ScenarioConfig(scenario=scenario, alpha_ratio=0.5, visibility=0.95,
+                               master_seed=19), lo, hi)
         assert (i_max["rom"] <= i_max["rotm"]).all()
 
     @staticmethod
     def _both_policies(scenario, ratio, visibility, seed):
-        return [_evaluate_chunk(ScenarioConfig(scenario=scenario, alpha_ratio=ratio,
-                                               visibility=visibility, master_seed=seed,
-                                               selection_policy=policy),
-                                0, mc.CHUNK_TRIALS)
-                for policy in ("max-i", "min-eta")]
+        rows = []
+        for policy in ("max-i", "min-eta"):
+            (i_max,), (eta,) = _evaluate_chunk(
+                ScenarioConfig(scenario=scenario, alpha_ratio=ratio, visibility=visibility,
+                               master_seed=seed, selection_policy=policy),
+                0, mc.CHUNK_TRIALS)
+            rows.append((i_max, eta))
+        return rows
 
     @pytest.mark.parametrize("scenario", ["rim", "rom"])
     @pytest.mark.parametrize("ratio,visibility,seed", [(1.0, 1.0, 2), (0.5, 1.0, 5),
@@ -523,12 +528,12 @@ class TestWorkerIndependence:
         config = ScenarioConfig(scenario="rom", alpha_ratio=0.7, trials=2 * mc.CHUNK_TRIALS + 7,
                                 master_seed=12, selection_policy="min-eta", workers=workers)
         rows = [_evaluate_chunk(config, lo, hi) for lo, hi in mc._chunk_grid(config.trials)]
-        chunk_sums = [float(i[i > 0.0].sum()) for i, _ in rows]
-        i_max = np.concatenate([i for i, _ in rows])
-        eta = np.concatenate([e for _, e in rows])
+        chunk_sums = [float(i[i > 0.0].sum()) for (i,), _ in rows]
+        i_max = np.concatenate([i for (i,), _ in rows])
+        eta = np.concatenate([e for _, (e,) in rows])
         violated = i_max > 0.0
         i_max, eta = i_max[violated], eta[violated]
-        got = mc._collect_chunks(config)
+        (got,) = mc._collect_chunks(config)
         assert got.violating == violated.sum() > 0
         edges = np.linspace(0.6, 1.0, config.histogram_bins + 1)
         np.testing.assert_array_equal(np.diff(got.below_edges),
@@ -557,8 +562,8 @@ class TestPartials:
     def test_median_within_its_bound_and_mean_of_the_sum(self, scenario, ratio, visibility):
         config = ScenarioConfig(scenario=scenario, alpha_ratio=ratio, visibility=visibility,
                                 trials=2 * mc.CHUNK_TRIALS + 13, master_seed=21)
-        i_max = np.concatenate([_evaluate_chunk(config, lo, hi)[0]
-                                for lo, hi in mc._chunk_grid(config.trials)])
+        (i_max,) = np.concatenate([_evaluate_chunk(config, lo, hi)[0]
+                                   for lo, hi in mc._chunk_grid(config.trials)], axis=1)
         i_max = i_max[i_max > 0.0]
         stats = run_experiment(config).summary["i_max_given_violation"]
         bound = stats["median_error_bound"]
@@ -605,17 +610,17 @@ class TestScalingSanity:
 class TestSweep:
     def test_single_config_identical_to_run(self):
         config = ScenarioConfig(scenario="rom", trials=20_000, master_seed=7)
-        entry = sweep([config])[0]
+        (result,) = sweep([config])
         direct = run_experiment(config)
-        np.testing.assert_array_equal(entry.result.curve.p_viol, direct.curve.p_viol)
-        np.testing.assert_array_equal(entry.result.histogram.counts,
-                                      direct.histogram.counts)
+        np.testing.assert_array_equal(result.curve.p_viol, direct.curve.p_viol)
+        np.testing.assert_array_equal(result.histogram.counts, direct.histogram.counts)
 
     def test_entries_carry_the_master_seed(self):
         config = ScenarioConfig(scenario="rim", trials=5_000, master_seed=40)
-        entries = sweep([config, replace(config, alpha_ratio=0.5)])
-        assert [entry.config.master_seed for entry in entries] == [40, 40]
-        assert [entry.result.config for entry in entries] == [entry.config for entry in entries]
+        configs = [config, replace(config, alpha_ratio=0.5)]
+        results = sweep(configs)
+        assert [result.config.master_seed for result in results] == [40, 40]
+        assert [result.config for result in results] == configs
 
     def test_empty_error(self):
         with pytest.raises(ValueError):
@@ -623,13 +628,13 @@ class TestSweep:
 
     def test_entanglement_ordering_at_eta_one(self):
         for scenario in ("rim", "rom", "rotm"):
-            entries = sweep([
+            mes, half = sweep([
                 ScenarioConfig(scenario=scenario, alpha_ratio=ratio,
                                trials=20_000, master_seed=55)
                 for ratio in (1.0, 0.5)
             ])
-            p_mes = entries[0].result.curve.p_viol[-1]
-            p_half = entries[1].result.curve.p_viol[-1]
+            p_mes = mes.curve.p_viol[-1]
+            p_half = half.curve.p_viol[-1]
             assert p_mes >= p_half
 
     @pytest.mark.parametrize("scenario", ["rim", "rom", "rotm"])
@@ -637,27 +642,33 @@ class TestSweep:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_entry_equals_its_run(self, scenario, policy, workers):
         # the states share the trial streams; 131079 trials end off the
-        # chunk and block grids, and the states before the last work on a copy
+        # chunk and block grids, and the states before the last work on a copy.
+        # Each state's trials are compared bit for bit too, so that errors
+        # that cancel in a partial cannot pass.
         base = ScenarioConfig(scenario=scenario, trials=2 * mc.CHUNK_TRIALS + 7,
                               master_seed=7, selection_policy=policy, workers=workers)
         configs = [replace(base, alpha_ratio=ratio, visibility=visibility)
                    for ratio, visibility in ((0.5, 0.95), (1.0, 0.95), (1.0, 1.0))]
-        entries = sweep(configs)
+        results = sweep(configs)
         partials = mc._collect_chunks(base, states=configs)
-        for config, entry, partial in zip(configs, entries, partials):
-            assert entry.config == config
-            alone = mc._collect_chunks(config)
+        rows = zip(*_evaluate_chunk(base, 0, base.trials, configs))
+        for config, result, partial, (i_max, eta) in zip(configs, results, partials, rows):
+            assert result.config == config
+            (i_alone,), (eta_alone,) = _evaluate_chunk(config, 0, config.trials)
+            assert i_max.tobytes() == i_alone.tobytes()
+            assert eta.tobytes() == eta_alone.tobytes()
+            (alone,) = mc._collect_chunks(config)
             for field in fields(mc._Partial):
                 np.testing.assert_array_equal(getattr(partial, field.name),
                                               getattr(alone, field.name), field.name)
             direct = run_experiment(config)
-            for got, want in ((entry.result.curve, direct.curve),
-                              (entry.result.histogram, direct.histogram)):
+            for got, want in ((result.curve, direct.curve),
+                              (result.histogram, direct.histogram)):
                 for field in fields(got):
                     np.testing.assert_array_equal(getattr(got, field.name),
                                                   getattr(want, field.name), field.name)
-            summaries = [{k: v for k, v in result.summary.items() if k != "wall_time_s"}
-                         for result in (entry.result, direct)]
+            summaries = [{k: v for k, v in r.summary.items() if k != "wall_time_s"}
+                         for r in (result, direct)]
             assert json.dumps(summaries[0]) == json.dumps(summaries[1])
 
     @pytest.mark.parametrize("change", [{"scenario": "rom"}, {"trials": 4_000},
