@@ -32,14 +32,13 @@ probability p00 formed, and the forms follow in closed form too: on each
 choice of two settings per party they are the CHSH expressions
 (+-S_k - 2)/4, so each run of forms that share the marginal part N needs
 one min or max of the choice's correlator rows (`_form_tables`).  One
-loop over the runs (`_run_values`) feeds both policies: max-i keeps a
-running winner in form order; min-eta keeps the running max, and then only
-the violating trials run the per-run eta_req competition, on their own
-columns.  No per-form sum or matrix is
-built and no BLAS call is made.  The exact operator route in
-`quantum`/`chsh`, fed by the scalar samplers' directions, computes the
-same numbers one trial at a time and serves as the independent
-cross-check (see tests and the CLI verify command).
+loop over the runs (`_run_values`) keeps a running winner in form order,
+max-i's pick; min-eta also counts each trial's violating runs, and only the
+trials with two or more re-pick by the per-run eta_req competition.  No
+per-form sum or matrix is built and no BLAS call is made.  The exact
+operator route in `quantum`/`chsh`, fed by the scalar samplers'
+directions, computes the same numbers one trial at a time and serves as
+the independent cross-check (see tests and the CLI verify command).
 """
 
 from __future__ import annotations
@@ -411,37 +410,32 @@ def _forms_winner(rows, settings_per_party: int, policy: str):
     setting pair, then pA0 and pB0 (see `_state_rows`); the rows are only
     read.
 
-    Both policies take the runs of `_run_values`.  I = S / 4 - 1/2 rounds
-    monotonically (and exactly where I >= -1/4), so the best I is that of
-    the best S.  Under max-i, runs are taken in form order and a winner is
+    Both policies take one pass over the runs of `_run_values`.  I = S / 4
+    - 1/2 rounds monotonically (and exactly where I >= -1/4), so the best I
+    is that of the best S, and I > 0 exactly where S > 2.  A winner is
     replaced only on a strict improvement, so ties go to the lowest form
-    index; as runs are numbered in order, the winner is the largest run
-    number that improved, kept with a maximum rather than a masked copy,
-    whose cost grows with how mixed its mask is, and its N gives eta_req.
-    Under min-eta a trial with no violating form keeps its max-i value, the
-    max over runs, so only the violating trials run the eta_req competition
-    of `_min_eta_runs`, on their own columns.
+    index; it is the largest run number that improved, kept with a maximum
+    rather than a masked copy, whose cost grows with how mixed its mask is,
+    and its N gives eta_req.  Where at most one run violates, it is the
+    unique maximum and so min-eta's pick too: min-eta counts each trial's
+    violating runs, and re-picks by `_min_eta_runs` on the columns with two
+    or more.
     """
     batch = rows.shape[1]
     s_best = np.full(batch, -np.inf)
-    if policy == "min-eta":
-        for value in _run_values(rows, settings_per_party):
-            np.maximum(s_best, value, out=s_best)
-        i_max = s_best * 0.25 - 0.5
-        eta = np.full(batch, np.nan)
-        columns = np.flatnonzero(i_max > 0.0)
-        i_max[columns], eta[columns] = _min_eta_runs(rows.take(columns, axis=1),
-                                                     settings_per_party)
-        return i_max, eta
     better = np.empty(batch, dtype=bool)
     better_01 = better.view(np.uint8)
     step = np.empty(batch, dtype=np.uint8)
     winner = np.zeros(batch, dtype=np.uint8)
+    violating = np.zeros(batch, dtype=np.uint8) if policy == "min-eta" else None
     for run, value in enumerate(_run_values(rows, settings_per_party)):
         np.greater(value, s_best, out=better)
         np.maximum(s_best, value, out=s_best)
         np.multiply(better_01, run, out=step)
         np.maximum(winner, step, out=winner)
+        if violating is not None:
+            np.greater(value, 2.0, out=better)
+            violating += better_01
     i_max = s_best * 0.25 - 0.5
     # each trial's N term by term, as `chsh.form_coefficients` sums it: its
     # one nonzero pA0 term, then its pB0 term; adding the zero terms is exact
@@ -451,13 +445,18 @@ def _forms_winner(rows, settings_per_party: int, policy: str):
         n_win += coefficient.take(winner) * rows[row]
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = np.where(i_max > 0.0, n_win / (i_max + n_win), np.nan)
+    if violating is not None:
+        columns = np.flatnonzero(violating > 1)
+        if len(columns):
+            i_max[columns], eta[columns] = _min_eta_runs(rows.take(columns, axis=1),
+                                                         settings_per_party)
     return i_max, eta
 
 
 def _min_eta_runs(rows, settings_per_party: int):
     """(I, eta_req) of the least eta_req = N / (I + N) over the runs with
-    I > 0, for each trial (column) of a state's rows; every column must be
-    a violating trial's.  Ties go to the lowest form index.
+    I > 0, for each trial (column) of a state's rows on which two or more
+    runs violate.  Ties go to the lowest form index.
     """
     _, n_const, terms = _form_tables(settings_per_party)
     batch = rows.shape[1]

@@ -96,6 +96,24 @@ def _dense_chunk(config, lo, hi):
     return _dense_winner(coords.T, s, config.selection_policy)
 
 
+def _violating_runs(config, lo, hi):
+    """How many runs of `_run_values` have S > 2, that is I > 0, on each of
+    trials [lo, hi), from each block's state rows as `_evaluate_chunk`
+    writes them."""
+    s = config.settings_per_party
+    counts = np.zeros(hi - lo, dtype=int)
+    for start in range(lo, hi, mc._BLOCK_TRIALS):
+        stop = min(start + mc._BLOCK_TRIALS, hi)
+        rows = mc._SETTINGS_FROM_UNIFORMS[config.scenario](
+            uniform_block(config.master_seed, start, stop))
+        z_a, z_b = rows[s * s:s * s + s], rows[s * s + s:]
+        z_products = (z_a[:, None] * z_b[None]).reshape(s * s, -1)
+        rows = mc._state_rows(config.state, s, rows, z_products, np.empty_like(rows))
+        for value in mc._run_values(rows, s):
+            counts[start - lo:stop - lo] += value > 2.0
+    return counts
+
+
 def _with_correlators(coords, s):
     """The form stage's rows (D = 8 p00 - 4 pA0 - 4 pB0 + 2 for each (x, y),
     pA0, pB0) of probability coordinates (p00 for each (x, y), pA0, pB0),
@@ -361,6 +379,11 @@ class TestChunkKernel:
         (i_a, eta_a), (i_b, eta_b) = self._both_policies(scenario, ratio, visibility, seed)
         np.testing.assert_array_equal(i_a, i_b)
         np.testing.assert_array_equal(eta_a, eta_b)
+        # so min-eta's re-pick, which needs two violating runs, never runs
+        config = ScenarioConfig(scenario=scenario, alpha_ratio=ratio, visibility=visibility,
+                                master_seed=seed)
+        counts = _violating_runs(config, 0, mc.CHUNK_TRIALS)
+        assert counts.max() == 1
 
     def test_min_eta_lowers_rotm_eta_req(self):
         # ROTM chooses among 9 setting pairs, so min-eta can beat max-i's form
@@ -374,6 +397,18 @@ class TestChunkKernel:
         assert i_b[~violated].tobytes() == i_a[~violated].tobytes()
         assert np.isnan(eta_b[~violated]).all()
         assert not np.isnan(eta_b[violated]).any()
+        # a lone violating run is the unique maximum, so min-eta keeps
+        # max-i's bits there and differs only where two or more runs violate
+        counts = _violating_runs(ScenarioConfig(scenario="rotm", alpha_ratio=0.5,
+                                                visibility=0.95, master_seed=8),
+                                 0, mc.CHUNK_TRIALS)
+        np.testing.assert_array_equal(counts > 0, violated)
+        one = counts == 1
+        assert one.any()
+        assert i_b[one].tobytes() == i_a[one].tobytes()
+        assert eta_b[one].tobytes() == eta_a[one].tobytes()
+        differs = violated & (eta_b != eta_a)
+        assert (counts[differs] >= 2).all()
 
     def test_nan_probability_names_its_trial(self, monkeypatch):
         original = quantum.doubled_correlator
