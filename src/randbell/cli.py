@@ -26,6 +26,7 @@ from .errors import NumericalConsistencyError
 from .montecarlo import (
     ExperimentAborted,
     ExperimentResult,
+    SCENARIOS,
     ScenarioConfig,
     _SETTINGS_FROM_UNIFORMS,
     _chunk_grid,
@@ -202,14 +203,12 @@ def cmd_sweep(args) -> int:
         results = sweep(configs, progress=progress)
     os.makedirs(args.out_dir, exist_ok=True)
 
-    combined = [
-        "# sweep: " + json.dumps(
-            {"scenario": args.scenario, "alpha_ratios": [v for _, v in ratios],
-             "trials": args.trials, "master_seed": args.seed},
-            sort_keys=True,
-        ),
-        "alpha_ratio,eta,p_viol,ci_low,ci_high",
-    ]
+    # the entries' table config, with the list of ratios in place of one
+    doc = _table_config(results[0].config)
+    del doc["alpha_ratio"]
+    doc["alpha_ratios"] = [v for _, v in ratios]
+    combined = ["# sweep: " + json.dumps(doc, sort_keys=True),
+                "alpha_ratio,eta,p_viol,ci_low,ci_high"]
     summaries = []
     for (token, _value), result in zip(ratios, results):
         sub = os.path.join(args.out_dir, f"{args.scenario}_ratio_{token}")
@@ -310,7 +309,7 @@ def cmd_verify(args) -> int:
                  f"min eta_req = {eta_floor:.9f} (floor {floor:.9f})")
 
     # Sampler uniformity of n_z for each scenario's direction stream.
-    for scenario in ("rim", "rom", "rotm"):
+    for scenario in SCENARIOS:
         ks = _ks_uniform_nz(_sampler_nz(ScenarioConfig(
             scenario=scenario, trials=1_000_000, master_seed=args.seed + 1)))
         ok &= _check(f"sampler uniformity ({scenario})", ks <= 0.005,
@@ -381,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, sweep_mode=False):
-        p.add_argument("--scenario", required=True, choices=["rim", "rom", "rotm"])
+        p.add_argument("--scenario", required=True, choices=SCENARIOS)
         if sweep_mode:
             p.add_argument("--alpha-ratios", default="0.5,0.75,1.0",
                            help="comma-separated list of alpha/beta ratios")

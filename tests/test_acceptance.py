@@ -26,7 +26,7 @@ from randbell import (
     run_experiment,
     sweep,
 )
-from randbell.montecarlo import _collect_chunks
+from randbell.montecarlo import _chunk_grid, _collect_chunks
 from randbell.sampling import direction_from_angles
 
 ETA_CRIT_MES = 2.0 / (1.0 + np.sqrt(2.0))
@@ -220,10 +220,13 @@ class TestCriterion10:
         _report(10, "(e) violation curves non-decreasing in eta", bool(mono))
 
     def test_bitwise_reproducible_across_workers(self):
+        # two full chunks and a partial one, so that four workers start a pool
+        trials = 131_079
+        assert len(_chunk_grid(trials)) > 1
         results = []
         for workers in (1, 4):
             config = ScenarioConfig(scenario="rom", alpha_ratio=0.8,
-                                    trials=10_000, master_seed=4, workers=workers)
+                                    trials=trials, master_seed=4, workers=workers)
             results.append(run_experiment(config))
         a, b = results
         same = (
@@ -236,7 +239,7 @@ class TestCriterion10:
             and a.summary["i_max_given_violation"] == b.summary["i_max_given_violation"]
         )
         _report(10, "(f) bitwise identical outputs for worker counts {1, 4} "
-                    "at 10^4 trials",
+                    f"at {trials} trials",
                 bool(same))
 
 

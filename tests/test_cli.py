@@ -159,22 +159,33 @@ class TestRun:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
-    def test_summary_manifest_stays_out_of_tables(self, tmp_path, capsys):
-        # two runs that differ in the worker count and the wall time only
+    @pytest.mark.parametrize("case", [
+        ["--scenario", "rim"],
+        # the state where ROTM's two policies pick differently
+        ["--scenario", "rotm", "--alpha-ratio", "0.5", "--visibility", "0.95",
+         "--selection", "min-eta"]], ids=["rim", "rotm-min-eta"])
+    def test_summary_manifest_stays_out_of_tables(self, tmp_path, capsys, case):
+        # two runs that differ in the worker count and the wall time only;
+        # two full chunks and a partial one, so two workers start a pool
         d1, d2 = tmp_path / "a", tmp_path / "b"
         for workers, out_dir in ((1, d1), (2, d2)):
-            assert _run(["run", "--scenario", "rim", "--trials", str(2 * mc.CHUNK_TRIALS + 5),
+            assert _run(["run", *case, "--trials", str(2 * mc.CHUNK_TRIALS + 5),
                          "--seed", "42", "--workers", str(workers),
                          "--out-dir", str(out_dir)]) == 0
         capsys.readouterr()
         for name in ("histogram.csv", "curve.csv", "histogram.json", "curve.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
-        manifests = [json.loads((d / "summary.json").read_text())["manifest"] for d in (d1, d2)]
+        summaries = [json.loads((d / "summary.json").read_text()) for d in (d1, d2)]
+        manifests = [summary["manifest"] for summary in summaries]
         assert set(manifests[0]) == {"randbell", "numpy", "python", "platform",
                                      "usable_cpus", "chunk_trials", "workers"}
         assert [m["workers"] for m in manifests] == [1, 2]
         assert manifests[0]["chunk_trials"] == mc.CHUNK_TRIALS
         assert manifests[0]["randbell"] == randbell.__version__
+        # the summaries agree but for the wall time and the worker count
+        for summary in summaries:
+            del summary["wall_time_s"], summary["config"]["workers"], summary["manifest"]["workers"]
+        assert summaries[0] == summaries[1]
 
     def test_each_sweep_config_shows_progress(self, capsys):
         # a sweep reports one count, out of trials times states, that only
@@ -213,6 +224,15 @@ class TestSweep:
         combined = (tmp_path / "combined_curves.csv").read_text().splitlines()
         assert combined[1] == "alpha_ratio,eta,p_viol,ci_low,ci_high"
         assert len(combined) == 2 + 2 * 401
+        # the sweep line is each entry's config line, with the ratios of all
+        assert combined[0].startswith("# sweep: ")
+        swept = json.loads(combined[0].removeprefix("# sweep: "))
+        assert swept.pop("alpha_ratios") == [0.5, 1.0]
+        for entry in ("rim_ratio_0.5", "rim_ratio_1.0"):
+            line = (tmp_path / entry / "histogram.csv").read_text().splitlines()[0]
+            config = json.loads(line.removeprefix("# config: "))
+            del config["alpha_ratio"]
+            assert config == swept
         summaries = json.loads(capsys.readouterr().out)
         assert len(summaries) == 2
         # the states share the master seed

@@ -13,7 +13,6 @@ import pytest
 import randbell.montecarlo as mc
 import randbell.quantum as quantum
 from randbell import (
-    NoisyState,
     NumericalConsistencyError,
     ScenarioConfig,
     build_probability_table,
@@ -28,39 +27,27 @@ from randbell import (
     wilson_interval,
 )
 from randbell.chsh import form_coefficients
+from randbell.cli import _exact_settings
 from randbell.montecarlo import ExperimentAborted, _evaluate_chunk
-from randbell.sampling import (
-    RandomSource,
-    sample_direction,
-    sample_orthogonal_pair,
-    sample_orthogonal_triad,
-    uniform_block,
-)
-
-
-def _exact_directions(scenario, master_seed, trial_index):
-    """A trial's directions for each party from the scalar samplers."""
-    rng = RandomSource(master_seed, trial_index)
-    if scenario == "rim":
-        a_dirs = tuple(sample_direction(rng) for _ in range(2))
-        b_dirs = tuple(sample_direction(rng) for _ in range(2))
-    elif scenario == "rom":
-        a_dirs = sample_orthogonal_pair(rng)
-        b_dirs = sample_orthogonal_pair(rng)
-    else:
-        a_triad = sample_orthogonal_triad(rng)
-        b_triad = sample_orthogonal_triad(rng)
-        a_dirs = (a_triad.d1, a_triad.d2, a_triad.d3)
-        b_dirs = (b_triad.d1, b_triad.d2, b_triad.d3)
-    return a_dirs, b_dirs
+from randbell.sampling import uniform_block
 
 
 def _exact_trial(config, trial_index):
     """Per-trial evaluation through the exact operator route."""
-    a_dirs, b_dirs = _exact_directions(config.scenario, config.master_seed, trial_index)
+    a_dirs, b_dirs = _exact_settings(config, trial_index)
     table = build_probability_table(config.state, a_dirs, b_dirs)
     forms = enumerate_forms(config.settings_per_party)
     return max_violation(table, forms, policy=config.selection_policy)
+
+
+def _assert_same_tables(got, want):
+    """Every field of two results' histograms and curves is bit for bit
+    the same."""
+    for table in ("histogram", "curve"):
+        for field in fields(getattr(got, table)):
+            np.testing.assert_array_equal(getattr(getattr(got, table), field.name),
+                                          getattr(getattr(want, table), field.name),
+                                          f"{table}.{field.name}")
 
 
 def _dense_winner(coords, s, policy):
@@ -507,19 +494,20 @@ class TestCoordinateRows:
     # trial 2^40 on
     RANGES = [(mc.CHUNK_TRIALS - 1000, mc.CHUNK_TRIALS + 1000), (2 ** 40, 2 ** 40 + 500)]
 
-    @pytest.mark.parametrize("scenario", ["rim", "rom", "rotm"])
+    @pytest.mark.parametrize("scenario", mc.SCENARIOS)
     def test_rows_are_correlators_of_the_scalar_samplers(self, scenario):
         # a noisy partially entangled state, so that every term counts; the
         # exact route's D is 8 p00 - 4 pA0 - 4 pB0 + 2 of its Born values
-        state = NoisyState.from_ratio(0.6, 0.9)
-        s = 3 if scenario == "rotm" else 2
+        config = ScenarioConfig(scenario=scenario, alpha_ratio=0.6, visibility=0.9,
+                                master_seed=17)
+        state, s = config.state, config.settings_per_party
         worst_coords = worst_state = 0.0
         for lo, hi in self.RANGES:
-            rows = mc._SETTINGS_FROM_UNIFORMS[scenario](uniform_block(17, lo, hi))
+            rows = mc._SETTINGS_FROM_UNIFORMS[scenario](uniform_block(config.master_seed, lo, hi))
             z_products = (rows[s * s:s * s + s, None] * rows[None, s * s + s:]).reshape(s * s, -1)
             own = mc._state_rows(state, s, rows, z_products, np.empty_like(rows))
             for k, trial in enumerate(range(lo, hi)):
-                a_dirs, b_dirs = _exact_directions(scenario, 17, trial)
+                a_dirs, b_dirs = _exact_settings(config, trial)
                 a, b = np.stack([d.n for d in a_dirs]), np.stack([d.n for d in b_dirs])
                 expect = np.concatenate([(a[:, None, :2] * b[None, :, :2]).sum(-1).ravel(),
                                          a[:, 2], b[:, 2]])
@@ -536,25 +524,25 @@ class TestCoordinateRows:
 
 
 class TestWorkerIndependence:
-    def test_bitwise_identical_across_worker_counts(self):
-        results = {}
-        for workers in (1, 4):
-            config = ScenarioConfig(scenario="rim", trials=10_000, master_seed=9,
-                                    workers=workers, histogram_bins=50)
-            results[workers] = run_experiment(config)
-        a, b = results[1], results[4]
-        np.testing.assert_array_equal(a.histogram.counts, b.histogram.counts)
-        np.testing.assert_array_equal(a.curve.p_viol, b.curve.p_viol)
-        np.testing.assert_array_equal(a.curve.ci_low, b.curve.ci_low)
-        # summaries agree except for the fields that name the run itself
-        named = ("wall_time_s", "config", "manifest")
-        sa = {k: v for k, v in a.summary.items() if k not in named}
-        sb = {k: v for k, v in b.summary.items() if k not in named}
-        assert sa == sb
-        for key in ("config", "manifest"):
-            ca = {k: v for k, v in a.summary[key].items() if k != "workers"}
-            cb = {k: v for k, v in b.summary[key].items() if k != "workers"}
-            assert ca == cb
+    @pytest.mark.parametrize("scenario", mc.SCENARIOS)
+    @pytest.mark.parametrize("policy", ["max-i", "min-eta"])
+    def test_bitwise_identical_across_worker_counts(self, scenario, policy):
+        # Result tables must not depend on the worker count: 131079 trials
+        # make two full chunks and a partial one, so two workers start a
+        # pool.  The state is partially entangled and noisy, where N differs
+        # between the forms of a setting choice, so ROTM's two policies pick
+        # differently on some trials.
+        trials = 2 * mc.CHUNK_TRIALS + 7
+        assert len(mc._chunk_grid(trials)) > 1
+        a, b = (run_experiment(ScenarioConfig(scenario=scenario, alpha_ratio=0.5, visibility=0.95,
+                                              trials=trials, selection_policy=policy,
+                                              workers=workers))
+                for workers in (1, 2))
+        _assert_same_tables(a, b)
+        # summaries agree but for the wall time and the worker count
+        for summary in (a.summary, b.summary):
+            del summary["wall_time_s"], summary["config"]["workers"], summary["manifest"]["workers"]
+        assert json.dumps(a.summary) == json.dumps(b.summary)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_collect_keeps_violating_trials_in_order(self, workers):
@@ -697,11 +685,7 @@ class TestSweep:
                 np.testing.assert_array_equal(getattr(partial, field.name),
                                               getattr(alone, field.name), field.name)
             direct = run_experiment(config)
-            for got, want in ((result.curve, direct.curve),
-                              (result.histogram, direct.histogram)):
-                for field in fields(got):
-                    np.testing.assert_array_equal(getattr(got, field.name),
-                                                  getattr(want, field.name), field.name)
+            _assert_same_tables(result, direct)
             summaries = [{k: v for k, v in r.summary.items() if k != "wall_time_s"}
                          for r in (result, direct)]
             assert json.dumps(summaries[0]) == json.dumps(summaries[1])
