@@ -214,28 +214,29 @@ def ch_value(table: ProbabilityTable, form: CHForm) -> float:
 # ---------------------------------------------------------------------------
 
 def _reduced_coefficients(form: CHForm, s: int):
-    """(const, c_p00[x, y], c_a[x], c_b[y]) of the form's functional, ints."""
+    """(const, c_p00[x * s + y], c_a[x], c_b[y]) of the form's functional,
+    as Python ints in lists."""
     const = 0
-    cp = np.zeros((s, s), dtype=np.int64)
-    ca = np.zeros(s, dtype=np.int64)
-    cb = np.zeros(s, dtype=np.int64)
+    cp = [0] * (s * s)
+    ca = [0] * s
+    cb = [0] * s
 
     def add_joint(a, b, x, y, sign):
         nonlocal const
         # joint[a,b,x,y] expanded over (p00, pA0, pB0, 1)
         if a == 0 and b == 0:
-            cp[x, y] += sign
+            cp[x * s + y] += sign
         elif a == 0 and b == 1:
             ca[x] += sign
-            cp[x, y] -= sign
+            cp[x * s + y] -= sign
         elif a == 1 and b == 0:
             cb[y] += sign
-            cp[x, y] -= sign
+            cp[x * s + y] -= sign
         else:
             const += sign
             ca[x] -= sign
             cb[y] -= sign
-            cp[x, y] += sign
+            cp[x * s + y] += sign
 
     pa, pb = form.setting_perm_a, form.setting_perm_b
     fa, fb = form.outcome_flip_a, form.outcome_flip_b
@@ -248,19 +249,21 @@ def _reduced_coefficients(form: CHForm, s: int):
             add_joint(a, b, xo, yo, sign)
     # I = joint part - N
     n_const, na, nb = _marginal_part(form, s)
-    return const - n_const, cp, ca - na, cb - nb
+    return (const - n_const, cp, [c - n for c, n in zip(ca, na)],
+            [c - n for c, n in zip(cb, nb)])
 
 
 def _form_key(form: CHForm, s: int):
     const, cp, ca, cb = _reduced_coefficients(form, s)
-    return (const, tuple(cp.ravel().tolist()), tuple(ca.tolist()), tuple(cb.tolist()))
+    return (const, tuple(cp), tuple(ca), tuple(cb))
 
 
 def _marginal_part(form: CHForm, s: int):
-    """(const, n_a[x], n_b[y]) of N = p'_A(0|0) + p'_B(0|0) for this form."""
+    """(const, n_a[x], n_b[y]) of N = p'_A(0|0) + p'_B(0|0) for this form,
+    as Python ints in lists."""
     const = 0
-    na = np.zeros(s, dtype=np.int64)
-    nb = np.zeros(s, dtype=np.int64)
+    na = [0] * s
+    nb = [0] * s
     parts = [("A", int(form.outcome_flip_a[0]), form.setting_perm_a[0]),
              ("B", int(form.outcome_flip_b[0]), form.setting_perm_b[0])]
     for party, flip, x in parts:
@@ -321,7 +324,7 @@ def form_coefficients(forms: list[CHForm], settings_per_party: int):
     for i, form in enumerate(forms):
         c, cp, ca, cb = _reduced_coefficients(form, s)
         const[i] = c
-        weights[:, i] = np.concatenate([cp.ravel(), ca, cb]).astype(float)
+        weights[:, i] = cp + ca + cb
         nc, na, nb = _marginal_part(form, s)
         n_const[i] = nc
         n_a[i] = na

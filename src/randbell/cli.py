@@ -31,7 +31,7 @@ from .montecarlo import (
     _SETTINGS_FROM_UNIFORMS,
     _chunk_grid,
     _collect_chunks,
-    _evaluate_chunk,
+    _trial_rows,
     _usable_cpus,
     run_experiment,
     sweep,
@@ -324,7 +324,7 @@ def cmd_verify(args) -> int:
         config = ScenarioConfig(scenario=scenario, alpha_ratio=0.6, visibility=0.95,
                                 trials=1, master_seed=args.seed, selection_policy=policy)
         # the kernel's rows of the trials the loop may check, in one chunk
-        (i_max,), (eta,) = _evaluate_chunk(config, 0, 20_000)
+        (i_max,), (eta,) = _trial_rows(config, 0, 20_000)
         checked = 0
         max_di = 0.0
         max_de = 0.0

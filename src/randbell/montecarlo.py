@@ -19,7 +19,11 @@ trial streams of one master seed (common random numbers).  Each block's
 uniforms, coordinate rows and products z_a z_b are made once, each state
 turns them into its own correlator and marginal rows and winners, and each
 chunk returns a partial per state.  A run is the one-state set, so a
-sweep's result for a state equals a run on that state.
+sweep's result for a state equals a run on that state.  Every block writes
+into one workspace of block-sized rows per process (`_workspace`) and keeps
+only each state's violating I and eta_req, so a chunk allocates no
+per-trial row; single trials and checks read fresh per-trial rows from the
+same block loop (`_trial_rows`).
 
 The per-trial evaluation is vectorized over a block of a chunk's trials,
 the blocks taken in order so that a block's rows stay cache-resident, and
@@ -301,6 +305,30 @@ _SETTINGS_FROM_UNIFORMS = {
 }
 
 
+def _workspace(settings_per_party: int):
+    """One block's buffers for this many settings per party, reused by
+    every block, state and chunk of a process, so that no block allocates
+    its rows anew or faults them in: (uniforms, coordinate rows, pool),
+    views of one array.
+
+    The (B, 8) uniforms live until the settings map has read them, and
+    their memory then holds the form stage's `_FORM_ROWS` rows.  The pool's
+    rows are the map's scratch, and then the products z_a z_b, one state's
+    rows and two rows of bytes for the finite check.  A shorter block takes
+    views of the first columns.  One block loop at a time may use them.
+    """
+    s = settings_per_party
+    coords = s * s + 2 * s
+    pool = max(sampling.SCRATCH_ROWS, s * s + coords + 2)
+    rows = np.empty((8 + coords + pool, _BLOCK_TRIALS))
+    return rows[:8].reshape(_BLOCK_TRIALS, 8), rows[8:8 + coords], rows[8 + coords:]
+
+
+# Made at import, so that no run or memory trace counts them; a process
+# that never touches one holds only its address space.
+_WORKSPACES = {s: _workspace(s) for s in (2, 3)}
+
+
 def _state_rows(state: NoisyState, settings_per_party: int, rows: np.ndarray,
                 z_products: np.ndarray, out: np.ndarray) -> np.ndarray:
     """One state's rows, written to `out` and returned: D = 2E for each
@@ -310,53 +338,87 @@ def _state_rows(state: NoisyState, settings_per_party: int, rows: np.ndarray,
     of the block shares them."""
     s = settings_per_party
     quantum.doubled_correlator(state, rows[:s * s], z_products, out=out[:s * s])
-    out[s * s:s * s + s] = quantum.marginal_outcome0(state, rows[s * s:s * s + s], "A")
-    out[s * s + s:] = quantum.marginal_outcome0(state, rows[s * s + s:], "B")
+    quantum.marginal_outcome0(state, rows[s * s:s * s + s], "A", out=out[s * s:s * s + s])
+    quantum.marginal_outcome0(state, rows[s * s + s:], "B", out=out[s * s + s:])
     return out
 
 
-def _evaluate_chunk(config: ScenarioConfig, lo: int, hi: int, states=None):
-    """Evaluate trials [lo, hi) of config's trial streams in each config of
-    `states`, by default config alone; returns (i_max, eta_req) arrays of
-    shape (states, trials), eta NaN when the trial is not violated.
-    `states` differ from config in alpha_ratio and visibility only.
+def _block_winners(config: ScenarioConfig, lo: int, hi: int, states):
+    """Yields (columns, k, i_max, eta_req) for each block of trials [lo, hi)
+    of config's trial streams and each state k of `states`, in order:
+    columns is the block's slice of [lo, hi), and eta_req is NaN where a
+    trial is not violated.  The rows are the workspace's, overwritten by
+    the next state or block.
 
     Each block of `_BLOCK_TRIALS` is drawn and mapped to coordinate rows
     once, with the products z_a z_b, and each state writes its correlator
-    and marginal rows from them into one reused buffer and runs the forms
-    on it.  Every step is elementwise per trial and the generator is
-    counter-based, so the blocks change no bit and each state's rows are
-    those of a run on that state alone.
+    and marginal rows from them and runs the forms on them.  Every step is
+    elementwise per trial and the generator is counter-based, so the blocks
+    change no bit and each state's rows are those of a run on that state
+    alone.
     """
-    states = states or (config,)
     s = config.settings_per_party
     noisy = [c.state for c in states]
-    i_max = np.empty((len(noisy), hi - lo))
-    eta = np.empty((len(noisy), hi - lo))
-    own = None
+    uniforms, coords, pool = _WORKSPACES[s]
     for start in range(lo, hi, _BLOCK_TRIALS):
-        stop = min(start + _BLOCK_TRIALS, hi)
-        block = slice(start - lo, stop - lo)
-        # the uniforms are freed once they are mapped
-        rows = _SETTINGS_FROM_UNIFORMS[config.scenario](
-            sampling.uniform_block(config.master_seed, start, stop))
+        n = min(_BLOCK_TRIALS, hi - start)
+        u = sampling.uniform_block(config.master_seed, start, start + n, out=uniforms[:n])
+        rows = _SETTINGS_FROM_UNIFORMS[config.scenario](u, out=coords[:, :n],
+                                                        scratch=pool[:, :n])
+        # the uniforms and the map's scratch are spent
+        form_rows = uniforms.reshape(8, _BLOCK_TRIALS)[:, :n]
+        z_products, own = pool[:s * s, :n], pool[s * s:s * s + len(rows), :n]
+        flags = pool[-2:].view(bool).reshape(16, -1)[:len(rows) + 1, :n]
         z_a, z_b = rows[s * s:s * s + s], rows[s * s + s:]
-        z_products = (z_a[:, None] * z_b[None]).reshape(s * s, -1)
-        if own is None or own.shape != rows.shape:
-            own = np.empty_like(rows)
+        np.multiply(z_a[:, None], z_b[None], out=z_products.reshape(s, s, n))
         for k, state in enumerate(noisy):
-            _state_rows(state, s, rows, z_products, own)
-            finite = np.isfinite(own).all(axis=0)
+            state_rows = _state_rows(state, s, rows, z_products, own)
+            finite = np.isfinite(state_rows, out=flags[:-1]).all(axis=0, out=flags[-1])
             if not finite.all():
                 bad = start + int(np.flatnonzero(~finite)[0])
                 where = "" if len(states) == 1 else (
                     f" (alpha_ratio {states[k].alpha_ratio:g},"
                     f" visibility {states[k].visibility:g})")
                 raise NumericalConsistencyError(f"non-finite probability at trial {bad}{where}")
-            i_max[k, block], eta[k, block] = _forms_winner(own, s, config.selection_policy)
-        # freed before the next block's map, so that the map's temporaries
-        # meet only the state rows' buffer
-        del rows, z_products
+            yield (slice(start - lo, start - lo + n), k,
+                   *_forms_winner(state_rows, s, config.selection_policy, form_rows))
+
+
+def _evaluate_chunk(config: ScenarioConfig, lo: int, hi: int, states=None):
+    """The violating trials of [lo, hi) of config's trial streams in each
+    config of `states`, by default config alone: (i_max, eta_req) of the
+    first state, then of the next, ..., each state's two arrays holding
+    only its trials with I > 0, in trial order.  `states` differ from
+    config in alpha_ratio and visibility only.
+
+    Each block keeps only its violating values of each state, so a chunk
+    holds no per-trial row of any state.
+    """
+    states = states or (config,)
+    parts = [([], []) for _ in states]
+    for _, k, i_max, eta in _block_winners(config, lo, hi, states):
+        violated = i_max > 0.0
+        parts[k][0].append(i_max[violated])
+        parts[k][1].append(eta[violated])
+    values = []
+    for i_parts, eta_parts in parts:
+        values += [np.concatenate(i_parts), np.concatenate(eta_parts)]
+        i_parts.clear()  # a state's pieces are dropped once joined
+        eta_parts.clear()
+    return tuple(values)
+
+
+def _trial_rows(config: ScenarioConfig, lo: int, hi: int, states=None):
+    """(i_max, eta_req) of every trial of [lo, hi) in each config of
+    `states`, by default config alone, as fresh arrays of shape (states,
+    trials), eta NaN where the trial is not violated: the per-trial view of
+    `_evaluate_chunk`'s blocks, for single trials and checks."""
+    states = states or (config,)
+    i_max = np.empty((len(states), hi - lo))
+    eta = np.empty((len(states), hi - lo))
+    for columns, k, i_block, eta_block in _block_winners(config, lo, hi, states):
+        i_max[k, columns] = i_block
+        eta[k, columns] = eta_block
     return i_max, eta
 
 
@@ -380,17 +442,15 @@ def _choice_total(d, pairs, out):
     return out
 
 
-def _run_values(rows, settings_per_party: int):
+def _run_values(rows, settings_per_party: int, work=None):
     """The best S of each run of `_form_tables`, in run order, for each
-    trial (column) of a state's rows, in one row that each run overwrites.
+    trial (column) of a state's rows, in one row that each run overwrites;
+    `work`, if given, lends its first three rows.
 
     A run's forms share N, and their best S is max(T - min D_k, max D_k - T)
     over its forms of sign +1 and -1, with no per-form sum.
     """
-    batch = rows.shape[1]
-    t = np.empty(batch)
-    value = np.empty(batch)
-    spare = np.empty(batch)
+    t, value, spare = np.empty((3, rows.shape[1])) if work is None else work[:3]
     for pairs, runs in _form_tables(settings_per_party)[0]:
         _choice_total(rows, pairs, t)
         for plus, minus in runs:
@@ -405,10 +465,11 @@ def _run_values(rows, settings_per_party: int):
             yield value
 
 
-def _forms_winner(rows, settings_per_party: int, policy: str):
+def _forms_winner(rows, settings_per_party: int, policy: str, work=None):
     """(i_max, eta_req) of each trial (column) of a state's rows: D for each
     setting pair, then pA0 and pB0 (see `_state_rows`); the rows are only
-    read.
+    read.  The results and temporaries are `_FORM_ROWS` rows of `work` if
+    given, else fresh.
 
     Both policies take one pass over the runs of `_run_values`.  I = S / 4
     - 1/2 rounds monotonically (and exactly where I >= -1/4), so the best I
@@ -422,35 +483,48 @@ def _forms_winner(rows, settings_per_party: int, policy: str):
     or more.
     """
     batch = rows.shape[1]
-    s_best = np.full(batch, -np.inf)
-    better = np.empty(batch, dtype=bool)
-    better_01 = better.view(np.uint8)
-    step = np.empty(batch, dtype=np.uint8)
-    winner = np.zeros(batch, dtype=np.uint8)
-    violating = np.zeros(batch, dtype=np.uint8) if policy == "min-eta" else None
-    for run, value in enumerate(_run_values(rows, settings_per_party)):
+    if work is None:
+        work = np.empty((_FORM_ROWS, batch))
+    s_best, n_win, eta = work[3:6]
+    # one row's bytes hold the per-trial flags and run numbers
+    better_01, step, winner, violating = work[6].view(np.uint8).reshape(8, batch)[:4]
+    better = better_01.view(bool)
+    s_best.fill(-np.inf)
+    winner.fill(0)
+    violating.fill(0)
+    for run, value in enumerate(_run_values(rows, settings_per_party, work)):
         np.greater(value, s_best, out=better)
         np.maximum(s_best, value, out=s_best)
         np.multiply(better_01, run, out=step)
         np.maximum(winner, step, out=winner)
-        if violating is not None:
+        if policy == "min-eta":
             np.greater(value, 2.0, out=better)
             violating += better_01
-    i_max = s_best * 0.25 - 0.5
+    i_max = s_best
+    i_max *= 0.25
+    i_max -= 0.5
     # each trial's N term by term, as `chsh.form_coefficients` sums it: its
     # one nonzero pA0 term, then its pB0 term; adding the zero terms is exact
     _, n_const, terms = _form_tables(settings_per_party)
-    n_win = n_const.take(winner)
+    term = work[0]
+    n_const.take(winner, out=n_win, mode="clip")  # "clip" writes unbuffered
     for row, coefficient in terms:
-        n_win += coefficient.take(winner) * rows[row]
+        n_win += np.multiply(coefficient.take(winner, out=term, mode="clip"), rows[row],
+                             out=term)
     with np.errstate(divide="ignore", invalid="ignore"):
-        eta = np.where(i_max > 0.0, n_win / (i_max + n_win), np.nan)
-    if violating is not None:
+        np.divide(n_win, np.add(i_max, n_win, out=eta), out=eta)
+    np.copyto(eta, np.nan, where=np.less_equal(i_max, 0.0, out=better))
+    if policy == "min-eta":
         columns = np.flatnonzero(violating > 1)
         if len(columns):
             i_max[columns], eta[columns] = _min_eta_runs(rows.take(columns, axis=1),
                                                          settings_per_party)
     return i_max, eta
+
+
+# Rows of `_forms_winner`'s work: `_run_values`' three, the best S (then
+# I), N, eta_req and one of byte flags.
+_FORM_ROWS = 7
 
 
 def _min_eta_runs(rows, settings_per_party: int):
@@ -490,7 +564,7 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     """Outcome of one trial; a pure function of (config, trial_index)."""
     if not (0 <= trial_index):
         raise ValueError("trial_index must be non-negative")
-    [[i_max]], [[eta]] = _evaluate_chunk(config, trial_index, trial_index + 1)
+    [[i_max]], [[eta]] = _trial_rows(config, trial_index, trial_index + 1)
     violated = bool(i_max > 0.0)
     return TrialOutcome(
         trial_index=trial_index,
@@ -524,7 +598,8 @@ def _partial(i_max: np.ndarray, eta: np.ndarray, edges: np.ndarray,
     """
     below_edges = np.concatenate([eta.searchsorted(edges[:-1], "left"),
                                   eta.searchsorted(edges[-1:], "right")])
-    bins = (i_max * _I_SCALE).astype(np.intp)
+    # cast as it is computed, with no float temporary: the cast truncates
+    bins = np.multiply(i_max, _I_SCALE, out=np.empty(len(i_max), np.intp), casting="unsafe")
     np.minimum(bins, _I_BINS - 1, out=bins)
     n = len(eta)
     return _Partial(
@@ -542,14 +617,12 @@ def _partial(i_max: np.ndarray, eta: np.ndarray, edges: np.ndarray,
 
 def _chunk_partial(config: ScenarioConfig, lo: int, hi: int, states) -> list[_Partial]:
     """The partial of the violating trials in [lo, hi) of each state."""
-    i_max, eta = _evaluate_chunk(config, lo, hi, states)
-    violated = i_max > 0.0
-    # rebinding frees each whole output once its violating trials are taken
-    i_max = [row[v] for row, v in zip(i_max, violated)]
-    eta = [np.sort(row[v]) for row, v in zip(eta, violated)]
+    values = _evaluate_chunk(config, lo, hi, states)
     edges = _histogram_edges(config)
     points = _eta_points(config)
-    return [_partial(i, e, edges, points) for i, e in zip(i_max, eta)]
+    for eta in values[1::2]:
+        eta.sort()  # the chunk's own arrays, sorted in place
+    return [_partial(i, eta, edges, points) for i, eta in zip(values[::2], values[1::2])]
 
 
 def _collect_chunks(config: ScenarioConfig, progress=None, states=None):

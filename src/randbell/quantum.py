@@ -243,9 +243,12 @@ def doubled_correlator(state: NoisyState, inplane, z_product, out=None) -> np.nd
     return d
 
 
-def marginal_outcome0(state: NoisyState, z, party: str) -> np.ndarray:
-    """p(outcome 0) for one party from its directions' z-components z."""
+def marginal_outcome0(state: NoisyState, z, party: str, out=None) -> np.ndarray:
+    """p(outcome 0) for one party from its directions' z-components z;
+    writes to `out` if given."""
     if party not in ("A", "B"):
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
     sign = 1.0 if party == "A" else -1.0
-    return 0.5 * (1.0 + (sign * state.visibility * state.bloch_z) * z)
+    p = np.multiply(sign * state.visibility * state.bloch_z, z, out=out)
+    p = np.add(1.0, p, out=out)
+    return np.multiply(0.5, p, out=out)

@@ -47,15 +47,16 @@ _DRAWS = 8
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def uniform_block(master_seed: int, lo: int, hi: int) -> np.ndarray:
-    """Uniform [0, 1) draws of trials [lo, hi), shape (hi - lo, 8).
+def uniform_block(master_seed: int, lo: int, hi: int, out=None) -> np.ndarray:
+    """Uniform [0, 1) draws of trials [lo, hi), shape (hi - lo, 8), written
+    to `out` if given.
 
     Row i is exactly the stream RandomSource(master_seed, lo + i) draws from.
     """
     # np.random is reached here rather than at import: processes that never
     # draw (the pool parent) stay smaller and start faster.
     bits = np.random.Philox(key=master_seed & _MASK64, counter=2 * lo)
-    return np.random.Generator(bits).random(_DRAWS * (hi - lo)).reshape(hi - lo, _DRAWS)
+    return np.random.Generator(bits).random((hi - lo, _DRAWS), out=out)
 
 
 @dataclass
@@ -172,21 +173,29 @@ def _rotation_from_quaternion_uniforms(u4: np.ndarray) -> np.ndarray:
 # party A first, then party B.
 # ---------------------------------------------------------------------------
 
-def rim_coordinates(u: np.ndarray) -> np.ndarray:
+# Rows of scratch the coordinate maps take at most: two quaternions, their
+# conjugate product and one temporary.
+SCRATCH_ROWS = 13
+
+
+def rim_coordinates(u: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """u: (B, 8) as (uA0, vA0, uA1, vA1, uB0, vB0, uB1, vB1) -> (8, B) rows
-    of `direction_from_angles`' directions.
+    of `direction_from_angles`' directions, written to `out` if given;
+    `scratch`, if given, lends its first 4 rows.
 
     With z = 1 - 2v and r = sqrt(1 - z^2), the in-plane product of two
     directions is r_a * r_b * cos(2*pi*(u_a - u_b)).
     """
     ut = u.T
-    # written in place: fewer chunk-sized temporaries, fewer heap page faults
-    rows = np.empty((8, len(u)))
+    rows = np.empty((8, len(u))) if out is None else out
+    r = np.empty((4, len(u))) if scratch is None else scratch[:4]
     z = rows[4:]
     np.multiply(ut[1::2], -2.0, out=z)
     z += 1.0
     # |z| <= 1, so z*z rounds to at most 1 and the root is real
-    r = np.sqrt(1.0 - z * z)
+    np.multiply(z, z, out=r)
+    np.subtract(1.0, r, out=r)
+    np.sqrt(r, out=r)
     inplane = rows[:4].reshape(2, 2, -1)
     np.subtract(ut[0:4:2, None], ut[None, 4:8:2], out=inplane)
     inplane *= 2.0 * np.pi
@@ -196,10 +205,12 @@ def rim_coordinates(u: np.ndarray) -> np.ndarray:
     return rows
 
 
-def triad_coordinates(u: np.ndarray, settings: int) -> np.ndarray:
+def triad_coordinates(u: np.ndarray, settings: int, out=None, scratch=None) -> np.ndarray:
     """u: (B, 8), four quaternion uniforms per party -> (s*s + 2*s, B) rows
     of the first s = `settings` axes of each party's Haar-random triad, the
-    columns of `_rotation_from_quaternion_uniforms` on the same uniforms.
+    columns of `_rotation_from_quaternion_uniforms` on the same uniforms;
+    written to `out` if given, with `scratch`'s `SCRATCH_ROWS` rows, if
+    given, for the quaternions and temporaries.
 
     A's axes are R(q_A) e_k and B's R(q_B) e_l, so their z-components are
     the third rows of R(q_A) and R(q_B), and their dot products are the
@@ -210,62 +221,84 @@ def triad_coordinates(u: np.ndarray, settings: int) -> np.ndarray:
     """
     ut = u.T
     s = settings
-    q_a = _unit_quaternions(ut[0:4])
-    q_b = _unit_quaternions(ut[4:8])
-    rows = np.empty((s * s + 2 * s, len(u)))
+    rows = np.empty((s * s + 2 * s, len(u))) if out is None else out
+    if scratch is None:
+        scratch = np.empty((SCRATCH_ROWS, len(u)))
+    q_a, q_b, relative, tmp = scratch[0:4], scratch[4:8], scratch[8:12], scratch[12]
+    _unit_quaternions(ut[0:4], q_a, tmp)
+    _unit_quaternions(ut[4:8], q_b, tmp)
     z_a, z_b = rows[s * s:s * s + s], rows[s * s + s:]
     for k in range(s):
-        z_a[k] = _rotation_entry(q_a, 2, k)
-        z_b[k] = _rotation_entry(q_b, 2, k)
-    relative = _conjugate_product(q_a, q_b)
+        _rotation_entry(q_a, 2, k, z_a[k], tmp)
+        _rotation_entry(q_b, 2, k, z_b[k], tmp)
+    _conjugate_product(q_a, q_b, relative, tmp)
     for k in range(s):
         for l in range(s):
-            np.subtract(_rotation_entry(relative, k, l), z_a[k] * z_b[l], out=rows[k * s + l])
+            row = _rotation_entry(relative, k, l, rows[k * s + l], tmp)
+            row -= np.multiply(z_a[k], z_b[l], out=tmp)
     return rows
 
 
-def _unit_quaternions(u4: np.ndarray):
-    """(w, x, y, z) rows of the unit quaternions that
-    `_rotation_from_quaternion_uniforms` draws from uniform rows u4.
+def _unit_quaternions(u4: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """Writes to out the (w, x, y, z) rows of the unit quaternions that
+    `_rotation_from_quaternion_uniforms` draws from uniform rows u4; tmp is
+    a scratch row.
 
     Box-Muller radii r^2 = -2 log(1 - u) make the normalized quaternion
     (rho_1 cos t1, rho_1 sin t1, rho_2 cos t2, rho_2 sin t2) with
     rho_1^2 = r1^2 / (r1^2 + r2^2); a zero quaternion (u0 = u2 = 0) gives the
     identity, as there.
     """
-    l1 = np.log1p(-u4[0])
-    l2 = np.log1p(-u4[2])
-    total = l1 + l2
-    zero = total == 0.0
+    w, x, y, z = out
+    l1, l2, total = x, z, w
+    np.log1p(np.negative(u4[0], out=l1), out=l1)
+    np.log1p(np.negative(u4[2], out=l2), out=l2)
+    np.add(l1, l2, out=total)
+    # y is not written until zero's last use, so its bytes hold zero
+    zero = np.equal(total, 0.0, out=y.view(bool)[:len(y)])
     total += zero
-    rho1 = np.sqrt(l1 / total)
-    rho2 = np.sqrt(l2 / total)
-    t1 = 2.0 * np.pi * u4[1]
-    t2 = 2.0 * np.pi * u4[3]
-    return rho1 * np.cos(t1) + zero, rho1 * np.sin(t1), rho2 * np.cos(t2), rho2 * np.sin(t2)
+    rho1 = np.sqrt(np.divide(l1, total, out=x), out=x)
+    rho2 = np.sqrt(np.divide(l2, total, out=z), out=z)
+    t = np.multiply(2.0 * np.pi, u4[1], out=tmp)
+    np.multiply(rho1, np.cos(t, out=w), out=w)
+    w += zero
+    rho1 *= np.sin(t, out=t)
+    t = np.multiply(2.0 * np.pi, u4[3], out=tmp)
+    np.multiply(rho2, np.cos(t, out=y), out=y)
+    rho2 *= np.sin(t, out=t)
 
 
-def _conjugate_product(p, q):
-    """conj(p) q for quaternion rows (w, x, y, z), so R(result) = R(p)^T R(q)."""
+def _conjugate_product(p, q, out, tmp) -> None:
+    """Writes to out conj(p) q for quaternion rows (w, x, y, z), so that
+    R(out) = R(p)^T R(q); tmp is a scratch row."""
     pw, px, py, pz = p
     qw, qx, qy, qz = q
-    return (pw * qw + px * qx + py * qy + pz * qz,
-            pw * qx - px * qw - py * qz + pz * qy,
-            pw * qy - py * qw - pz * qx + px * qz,
-            pw * qz - pz * qw - px * qy + py * qx)
+    add, sub = np.add, np.subtract
+    for row, (first, *rest) in zip(out, (
+            ((pw, qw), (add, px, qx), (add, py, qy), (add, pz, qz)),
+            ((pw, qx), (sub, px, qw), (sub, py, qz), (add, pz, qy)),
+            ((pw, qy), (sub, py, qw), (sub, pz, qx), (add, px, qz)),
+            ((pw, qz), (sub, pz, qw), (sub, px, qy), (add, py, qx)))):
+        np.multiply(*first, out=row)
+        for op, a, b in rest:
+            op(row, np.multiply(a, b, out=tmp), out=row)
 
 
-def _rotation_entry(q, k: int, l: int) -> np.ndarray:
+def _rotation_entry(q, k: int, l: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Entry (k, l) of R(q) for unit quaternion rows q = (w, x, y, z), with
-    the arithmetic of `_rotation_from_quaternion_uniforms`."""
+    the arithmetic of `_rotation_from_quaternion_uniforms`, in out; tmp is
+    a scratch row."""
     w, v = q[0], q[1:]
     if k == l:
         i, j = (m for m in range(3) if m != k)
-        return 1.0 - 2.0 * (v[i] * v[i] + v[j] * v[j])
-    vv = v[k] * v[l]
-    wv = w * v[3 - k - l]
+        np.multiply(v[i], v[i], out=out)
+        out += np.multiply(v[j], v[j], out=tmp)
+        return np.subtract(1.0, np.multiply(2.0, out, out=out), out=out)
+    np.multiply(v[k], v[l], out=out)
+    wv = np.multiply(w, v[3 - k - l], out=tmp)
     # R = I + 2w[v]x + 2[v]x^2: the w term is -w v_m for (k, l, m) cyclic
-    return 2.0 * (vv - wv if (l - k) % 3 == 1 else vv + wv)
+    (np.subtract if (l - k) % 3 == 1 else np.add)(out, wv, out=out)
+    return np.multiply(2.0, out, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 facet structure, LHV bounds by strategy enumeration, the quantum maximum,
 and the required-efficiency algebra."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -173,6 +174,18 @@ class TestEnumerateForms:
     def test_forms_are_distinct_functionals(self):
         keys = {_form_key(f, 2) for f in FORMS2}
         assert len(keys) == 8
+
+    @pytest.mark.parametrize("s,digest", [
+        (2, "019780041d5e835abbc7e619dd00397e4820b96a664239e7a90375886fe546b0"),
+        (3, "6b07d4fac524baa2c4417614e755c0858fd0a3b66c88db78f76bb14d78ee95d4"),
+    ])
+    def test_coefficients_match_pinned_digests(self, s, digest):
+        # the forms, their order and their coefficients, as the numpy-array
+        # enumeration wrote them; the kernel's runs and the output digests
+        # rest on all three
+        arrays = form_coefficients(enumerate_forms(s), s)
+        assert [a.dtype for a in arrays] == [np.float64] * 5
+        assert hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest() == digest
 
     def test_three_setting_forms_embed_pair_choices(self):
         pairs = {(tuple(sorted(f.setting_perm_a)), tuple(sorted(f.setting_perm_b)))

@@ -28,7 +28,7 @@ from randbell import (
 )
 from randbell.chsh import form_coefficients
 from randbell.cli import _exact_settings
-from randbell.montecarlo import ExperimentAborted, _evaluate_chunk
+from randbell.montecarlo import ExperimentAborted, _evaluate_chunk, _trial_rows
 from randbell.sampling import uniform_block
 
 
@@ -85,7 +85,7 @@ def _dense_chunk(config, lo, hi):
 
 def _violating_runs(config, lo, hi):
     """How many runs of `_run_values` have S > 2, that is I > 0, on each of
-    trials [lo, hi), from each block's state rows as `_evaluate_chunk`
+    trials [lo, hi), from each block's state rows as `_block_winners`
     writes them."""
     s = config.settings_per_party
     counts = np.zeros(hi - lo, dtype=int)
@@ -206,7 +206,7 @@ class TestRunTrial:
     def test_single_trial_equals_its_chunk_row(self, scenario, policy):
         config = ScenarioConfig(scenario=scenario, alpha_ratio=0.5, visibility=0.95,
                                 master_seed=7, selection_policy=policy)
-        (i_max,), (eta,) = _evaluate_chunk(config, 0, 40)
+        (i_max,), (eta,) = _trial_rows(config, 0, 40)
         for i in range(40):
             outcome = run_trial(config, i)
             assert outcome.i_max == i_max[i]
@@ -221,9 +221,9 @@ class TestRunTrial:
         block = mc._BLOCK_TRIALS
         lo = 3 * mc.CHUNK_TRIALS + 1234
         hi = lo + 2 * block + 17
-        whole = _evaluate_chunk(config, lo, hi)
-        split = zip(_evaluate_chunk(config, lo, lo + 5000),
-                    _evaluate_chunk(config, lo + 5000, hi))
+        whole = _trial_rows(config, lo, hi)
+        split = zip(_trial_rows(config, lo, lo + 5000),
+                    _trial_rows(config, lo + 5000, hi))
         for got, parts in zip(whole, split):
             assert got.tobytes() == np.concatenate(parts, axis=1).tobytes()
         (i_max,), (eta,) = whole
@@ -277,7 +277,7 @@ class TestRunExperiment:
 
     def test_trial_outcomes_match_experiment(self, small_run):
         config = small_run.config
-        [[i_max]], _ = _evaluate_chunk(config, 123, 124)
+        [[i_max]], _ = _trial_rows(config, 123, 124)
         outcome = run_trial(config, 123)
         assert outcome.i_max == i_max
 
@@ -298,7 +298,7 @@ class TestChunkKernel:
         config = ScenarioConfig(scenario=scenario, alpha_ratio=0.6, visibility=visibility,
                                 master_seed=31, selection_policy=policy)
         for lo, hi in ((0, 4096), (70_000, 70_500)):
-            (i_max,), (eta,) = _evaluate_chunk(config, lo, hi)
+            (i_max,), (eta,) = _trial_rows(config, lo, hi)
             ref_i, ref_eta = _dense_chunk(config, lo, hi)
             np.testing.assert_array_equal(i_max > 0.0, ref_i > 0.0)
             np.testing.assert_array_equal(np.isnan(eta), np.isnan(ref_eta))
@@ -341,7 +341,7 @@ class TestChunkKernel:
         lo, hi = 3 * mc.CHUNK_TRIALS, 4 * mc.CHUNK_TRIALS
         i_max = {}
         for scenario in ("rom", "rotm"):
-            (i_max[scenario],), _ = _evaluate_chunk(
+            (i_max[scenario],), _ = _trial_rows(
                 ScenarioConfig(scenario=scenario, alpha_ratio=0.5, visibility=0.95,
                                master_seed=19), lo, hi)
         assert (i_max["rom"] <= i_max["rotm"]).all()
@@ -350,7 +350,7 @@ class TestChunkKernel:
     def _both_policies(scenario, ratio, visibility, seed):
         rows = []
         for policy in ("max-i", "min-eta"):
-            (i_max,), (eta,) = _evaluate_chunk(
+            (i_max,), (eta,) = _trial_rows(
                 ScenarioConfig(scenario=scenario, alpha_ratio=ratio, visibility=visibility,
                                master_seed=seed, selection_policy=policy),
                 0, mc.CHUNK_TRIALS)
@@ -550,7 +550,7 @@ class TestWorkerIndependence:
         # concatenated chunks, its float sum of I taken in chunk order
         config = ScenarioConfig(scenario="rom", alpha_ratio=0.7, trials=2 * mc.CHUNK_TRIALS + 7,
                                 master_seed=12, selection_policy="min-eta", workers=workers)
-        rows = [_evaluate_chunk(config, lo, hi) for lo, hi in mc._chunk_grid(config.trials)]
+        rows = [_trial_rows(config, lo, hi) for lo, hi in mc._chunk_grid(config.trials)]
         chunk_sums = [float(i[i > 0.0].sum()) for (i,), _ in rows]
         i_max = np.concatenate([i for (i,), _ in rows])
         eta = np.concatenate([e for _, (e,) in rows])
@@ -585,7 +585,7 @@ class TestPartials:
     def test_median_within_its_bound_and_mean_of_the_sum(self, scenario, ratio, visibility):
         config = ScenarioConfig(scenario=scenario, alpha_ratio=ratio, visibility=visibility,
                                 trials=2 * mc.CHUNK_TRIALS + 13, master_seed=21)
-        (i_max,) = np.concatenate([_evaluate_chunk(config, lo, hi)[0]
+        (i_max,) = np.concatenate([_trial_rows(config, lo, hi)[0]
                                    for lo, hi in mc._chunk_grid(config.trials)], axis=1)
         i_max = i_max[i_max > 0.0]
         stats = run_experiment(config).summary["i_max_given_violation"]
@@ -617,6 +617,72 @@ class TestPartials:
 
         mc._form_tables(3)  # built once per process, outside the trace
         assert peak(8) - peak(2) < 1 << 20
+
+    def test_chunk_memory_grows_little_per_state(self):
+        # a chunk keeps each state's violating values only, not a row of
+        # every trial; the block workspace and the form tables are made once
+        # per process, before the trace
+        base = ScenarioConfig(scenario="rim", master_seed=5)
+        many = [replace(base, alpha_ratio=float(ratio)) for ratio in np.linspace(0.2, 1.0, 41)]
+
+        def peak(states):
+            tracemalloc.start()
+            try:
+                mc._chunk_partial(base, 0, mc.CHUNK_TRIALS, states)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        mc._chunk_partial(base, 0, mc.CHUNK_TRIALS, (base,))
+        assert (peak(many) - peak((base,))) / (len(many) - 1) < 512 << 10
+
+
+class TestWorkspace:
+    def test_reuse_cannot_leak_between_configs(self):
+        # one process runs every scenario, both policies, a sweep and a
+        # short last block through the same block buffers; nothing of one
+        # config may reach the next
+        def config(scenario, trials=mc.CHUNK_TRIALS + 7, **kwargs):
+            return ScenarioConfig(scenario=scenario, trials=trials, master_seed=4, **kwargs)
+
+        rim = config("rim")
+        rotm = config("rotm", alpha_ratio=0.5, visibility=0.95, selection_policy="min-eta")
+        rom = [config("rom", alpha_ratio=ratio, selection_policy="min-eta")
+               for ratio in (0.5, 0.75, 1.0)]
+        short = config("rim", trials=10_007, alpha_ratio=0.5)
+        assert short.trials % mc._BLOCK_TRIALS
+        results = []
+        for states in ([rim], [rotm], rom, [short], [rim]):
+            base = states[0]
+            edges, points = mc._histogram_edges(base), mc._eta_points(base)
+            for lo, hi in mc._chunk_grid(base.trials):
+                # the block's reduction against the old one on its trial rows
+                partials = mc._chunk_partial(base, lo, hi, states)
+                for got, i_max, eta in zip(partials, *_trial_rows(base, lo, hi, states)):
+                    violated = i_max > 0.0
+                    want = mc._partial(i_max[violated], np.sort(eta[violated]), edges, points)
+                    for field in fields(mc._Partial):
+                        np.testing.assert_array_equal(getattr(got, field.name),
+                                                      getattr(want, field.name), field.name)
+            results.append(sweep(states))
+        first, last = results[0][0], results[-1][0]
+        _assert_same_tables(first, last)
+        summaries = [{k: v for k, v in r.summary.items() if k != "wall_time_s"}
+                     for r in (first, last)]
+        assert json.dumps(summaries[0]) == json.dumps(summaries[1])
+        # one full-size workspace per settings count, whatever ran
+        assert sorted(mc._WORKSPACES) == [2, 3]
+        buffers = [a for workspace in mc._WORKSPACES.values() for a in workspace]
+        assert all(mc._BLOCK_TRIALS in a.shape for a in buffers)
+        # per-trial results are fresh arrays: two held at once share no
+        # memory with each other or with the workspace
+        held = [*_trial_rows(rim, 0, 100), *_trial_rows(rotm, 0, 100),
+                *_trial_rows(short, 9_990, 10_007)]
+        for k, a in enumerate(held):
+            assert not any(np.shares_memory(a, b) for b in held[k + 1:] + buffers)
+        # and so are a chunk's violating values
+        for a in mc._evaluate_chunk(rotm, 0, 1000, [rotm, replace(rotm, alpha_ratio=1.0)]):
+            assert not any(np.shares_memory(a, b) for b in buffers)
 
 
 class TestScalingSanity:
@@ -674,10 +740,10 @@ class TestSweep:
                    for ratio, visibility in ((0.5, 0.95), (1.0, 0.95), (1.0, 1.0))]
         results = sweep(configs)
         partials = mc._collect_chunks(base, states=configs)
-        rows = zip(*_evaluate_chunk(base, 0, base.trials, configs))
+        rows = zip(*_trial_rows(base, 0, base.trials, configs))
         for config, result, partial, (i_max, eta) in zip(configs, results, partials, rows):
             assert result.config == config
-            (i_alone,), (eta_alone,) = _evaluate_chunk(config, 0, config.trials)
+            (i_alone,), (eta_alone,) = _trial_rows(config, 0, config.trials)
             assert i_max.tobytes() == i_alone.tobytes()
             assert eta.tobytes() == eta_alone.tobytes()
             (alone,) = mc._collect_chunks(config)
