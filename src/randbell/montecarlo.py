@@ -10,8 +10,8 @@ violating trials to a partial of fixed size (integer counts of eta_req on
 the histogram edges, the curve grid and the named etas; the violating
 count; the eta_req range and the largest I; the float sum of I; integer
 counts of I on a fixed grid, which bound the median), and the partials are
-merged in chunk order.  Integer counts merge exactly and the float sum is
-taken in chunk order, so results are bit-identical for any worker count,
+merged in chunk order.  Integer counts add exactly and the float sum is
+taken in block order, so results are bit-identical for any worker count,
 and a run's memory does not grow with its trial count.
 
 Runs and sweeps take one chunk loop over a set of states that share the
@@ -20,8 +20,8 @@ uniforms, coordinate rows and products z_a z_b are made once, each state
 turns them into its own correlator and marginal rows and winners, and each
 chunk returns a partial per state.  A run is the one-state set, so a
 sweep's result for a state equals a run on that state.  Every block writes
-into one workspace of block-sized rows per process (`_workspace`) and keeps
-only each state's violating I and eta_req, so a chunk allocates no
+into one workspace of block-sized rows per process (`_workspace`) and is
+added into each state's partial as it ends, so a chunk allocates no
 per-trial row; single trials and checks read fresh per-trial rows from the
 same block loop (`_trial_rows`).
 
@@ -210,18 +210,53 @@ class _Partial:
 
     Its size is fixed by the config, not by the trials it covers.  The
     counts are cumulative (trials with eta_req below each histogram edge,
-    at most each curve point and named eta) or per bin (I), so merging is
-    exact integer addition; the float sum of I is added in chunk order.
+    at most each curve point and named eta) or per bin (I), so adding and
+    merging are exact integer additions; the float sum of I is added in
+    block order.  The defaults are those of no trials.
     """
 
-    violating: int
     below_edges: np.ndarray  # eta_req < each edge; <= for the last, as np.histogram
     at_most: np.ndarray  # eta_req <= each point of `_eta_points`
     i_counts: np.ndarray  # I per bin of width 1 / _I_SCALE; int32 per chunk, int64 merged
-    i_sum: float
-    i_top: float  # the largest I, -inf when nothing violates
-    eta_min: float  # inf when nothing violates
-    eta_max: float  # -inf when nothing violates
+    violating: int = 0
+    i_sum: float = 0.0
+    i_top: float = -math.inf  # the largest I
+    eta_min: float = math.inf
+    eta_max: float = -math.inf
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of its counts and of its five scalars, 8 each."""
+        return self.below_edges.nbytes + self.at_most.nbytes + self.i_counts.nbytes + 5 * 8
+
+    def add_block(self, i_max: np.ndarray, eta: np.ndarray, edges: np.ndarray,
+                  points: np.ndarray, spare: np.ndarray) -> None:
+        """Add a block's I and eta_req, NaN where I <= 0, of each trial; its
+        violating values go to the three rows of `spare`.  Sorted, eta_req
+        gives every eta count by a search per edge or point, several times
+        cheaper than a search per trial.  I needs no sort: its bin is its
+        scaled value, truncated, counted up to the block's largest bin."""
+        columns = np.flatnonzero(np.greater(i_max, 0.0, out=spare[2].view(bool)[:len(i_max)]))
+        n = len(columns)
+        if not n:
+            return
+        # "clip" writes unbuffered
+        i_max = i_max.take(columns, out=spare[0, :n], mode="clip")
+        eta = eta.take(columns, out=spare[1, :n], mode="clip")
+        eta.sort()
+        self.violating += n
+        self.below_edges[:-1] += eta.searchsorted(edges[:-1], "left")
+        self.below_edges[-1] += eta.searchsorted(edges[-1], "right")
+        self.at_most += eta.searchsorted(points, "right")
+        self.i_sum += float(i_max.sum())
+        self.i_top = max(self.i_top, float(i_max.max()))
+        self.eta_min = min(self.eta_min, float(eta[0]))
+        self.eta_max = max(self.eta_max, float(eta[-1]))
+        # cast as it is computed, with no float temporary: the cast truncates
+        bins = np.multiply(i_max, _I_SCALE, out=spare[2, :n].view(np.intp), casting="unsafe")
+        np.minimum(bins, _I_BINS - 1, out=bins)
+        counts = np.bincount(bins)
+        self.i_counts[:len(counts)] += counts
 
     def merge(self, other: "_Partial") -> "_Partial":
         """Add `other`, the partial of later chunks, into this one."""
@@ -312,7 +347,8 @@ def _workspace(settings_per_party: int):
     views of one array.
 
     The (B, 8) uniforms live until the settings map has read them, and
-    their memory then holds the form stage's `_FORM_ROWS` rows.  The pool's
+    their memory then holds the form stage's `_FORM_ROWS` rows, the first
+    three of them then a state's violating values.  The pool's
     rows are the map's scratch, and then the products z_a z_b, one state's
     rows and two rows of bytes for the finite check.  A shorter block takes
     views of the first columns.  One block loop at a time may use them.
@@ -344,11 +380,12 @@ def _state_rows(state: NoisyState, settings_per_party: int, rows: np.ndarray,
 
 
 def _block_winners(config: ScenarioConfig, lo: int, hi: int, states):
-    """Yields (columns, k, i_max, eta_req) for each block of trials [lo, hi)
-    of config's trial streams and each state k of `states`, in order:
-    columns is the block's slice of [lo, hi), and eta_req is NaN where a
-    trial is not violated.  The rows are the workspace's, overwritten by
-    the next state or block.
+    """Yields (columns, k, i_max, eta_req, spare) for each block of trials
+    [lo, hi) of config's trial streams and each state k of `states`, in
+    order: columns is the block's slice of [lo, hi), eta_req is NaN where a
+    trial is not violated, and spare is three block rows the form stage
+    has spent.  The rows are the workspace's, overwritten by the next state
+    or block.
 
     Each block of `_BLOCK_TRIALS` is drawn and mapped to coordinate rows
     once, with the products z_a z_b, and each state writes its correlator
@@ -381,31 +418,27 @@ def _block_winners(config: ScenarioConfig, lo: int, hi: int, states):
                     f" visibility {states[k].visibility:g})")
                 raise NumericalConsistencyError(f"non-finite probability at trial {bad}{where}")
             yield (slice(start - lo, start - lo + n), k,
-                   *_forms_winner(state_rows, s, config.selection_policy, form_rows))
+                   *_forms_winner(state_rows, s, config.selection_policy, form_rows),
+                   form_rows[:3])
 
 
-def _evaluate_chunk(config: ScenarioConfig, lo: int, hi: int, states=None):
-    """The violating trials of [lo, hi) of config's trial streams in each
-    config of `states`, by default config alone: (i_max, eta_req) of the
-    first state, then of the next, ..., each state's two arrays holding
-    only its trials with I > 0, in trial order.  `states` differ from
-    config in alpha_ratio and visibility only.
+def _evaluate_chunk(config: ScenarioConfig, lo: int, hi: int, states=None) -> list[_Partial]:
+    """The partial of the violating trials of [lo, hi) of config's trial
+    streams in each config of `states`, by default config alone.  `states`
+    differ from config in alpha_ratio and visibility only.
 
-    Each block keeps only its violating values of each state, so a chunk
-    holds no per-trial row of any state.
+    Each block is added to its state's partial as it ends, so a chunk holds
+    no per-trial row and no violating value beyond the block's.
     """
     states = states or (config,)
-    parts = [([], []) for _ in states]
-    for _, k, i_max, eta in _block_winners(config, lo, hi, states):
-        violated = i_max > 0.0
-        parts[k][0].append(i_max[violated])
-        parts[k][1].append(eta[violated])
-    values = []
-    for i_parts, eta_parts in parts:
-        values += [np.concatenate(i_parts), np.concatenate(eta_parts)]
-        i_parts.clear()  # a state's pieces are dropped once joined
-        eta_parts.clear()
-    return tuple(values)
+    edges = _histogram_edges(config)
+    points = _eta_points(config)
+    # a chunk's I counts fit int32, which halves what a worker sends
+    parts = [_Partial(np.zeros(len(edges), np.intp), np.zeros(len(points), np.intp),
+                      np.zeros(_I_BINS, np.int32)) for _ in states]
+    for _, k, i_max, eta, spare in _block_winners(config, lo, hi, states):
+        parts[k].add_block(i_max, eta, edges, points, spare)
+    return parts
 
 
 def _trial_rows(config: ScenarioConfig, lo: int, hi: int, states=None):
@@ -416,7 +449,7 @@ def _trial_rows(config: ScenarioConfig, lo: int, hi: int, states=None):
     states = states or (config,)
     i_max = np.empty((len(states), hi - lo))
     eta = np.empty((len(states), hi - lo))
-    for columns, k, i_block, eta_block in _block_winners(config, lo, hi, states):
+    for columns, k, i_block, eta_block, _ in _block_winners(config, lo, hi, states):
         i_max[k, columns] = i_block
         eta[k, columns] = eta_block
     return i_max, eta
@@ -587,42 +620,9 @@ def _eta_points(config: ScenarioConfig) -> np.ndarray:
     return np.concatenate([config.eta_grid_points(), NAMED_ETAS])
 
 
-def _partial(i_max: np.ndarray, eta: np.ndarray, edges: np.ndarray,
-             points: np.ndarray) -> _Partial:
-    """The partial of one state's violating trials, given their I and their
-    eta_req sorted.
-
-    The sort gives every eta count by a search per edge or point; a search
-    per trial into the edges costs several times more.  I needs no sort:
-    its bin is its scaled value, truncated.
-    """
-    below_edges = np.concatenate([eta.searchsorted(edges[:-1], "left"),
-                                  eta.searchsorted(edges[-1:], "right")])
-    # cast as it is computed, with no float temporary: the cast truncates
-    bins = np.multiply(i_max, _I_SCALE, out=np.empty(len(i_max), np.intp), casting="unsafe")
-    np.minimum(bins, _I_BINS - 1, out=bins)
-    n = len(eta)
-    return _Partial(
-        violating=n,
-        below_edges=below_edges,
-        at_most=eta.searchsorted(points, "right"),
-        # a chunk's counts fit int32, which halves what a worker sends
-        i_counts=np.bincount(bins, minlength=_I_BINS).astype(np.int32),
-        i_sum=float(i_max.sum()),
-        i_top=float(i_max.max()) if n else -math.inf,
-        eta_min=float(eta[0]) if n else math.inf,
-        eta_max=float(eta[-1]) if n else -math.inf,
-    )
-
-
 def _chunk_partial(config: ScenarioConfig, lo: int, hi: int, states) -> list[_Partial]:
-    """The partial of the violating trials in [lo, hi) of each state."""
-    values = _evaluate_chunk(config, lo, hi, states)
-    edges = _histogram_edges(config)
-    points = _eta_points(config)
-    for eta in values[1::2]:
-        eta.sort()  # the chunk's own arrays, sorted in place
-    return [_partial(i, eta, edges, points) for i, eta in zip(values[::2], values[1::2])]
+    """The pool's task: `_evaluate_chunk`, looked up when it runs."""
+    return _evaluate_chunk(config, lo, hi, states)
 
 
 def _collect_chunks(config: ScenarioConfig, progress=None, states=None):

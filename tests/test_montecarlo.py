@@ -3,6 +3,7 @@ aggregation invariants, and worker-count independence."""
 
 import itertools
 import json
+import math
 import time
 import tracemalloc
 from dataclasses import fields, replace
@@ -81,6 +82,16 @@ def _dense_chunk(config, lo, hi):
         quantum.joint_outcome00(state, z_a[:, None], z_b[None], inplane).reshape(s * s, -1),
         quantum.marginal_outcome0(state, z_a, "A"), quantum.marginal_outcome0(state, z_b, "B")])
     return _dense_winner(coords.T, s, config.selection_policy)
+
+
+def _block_sum(i_max):
+    """The float sum of the positive I of a chunk's trials as a chunk takes
+    it: one sum per block of `_BLOCK_TRIALS`, added in block order."""
+    total = 0.0
+    for start in range(0, len(i_max), mc._BLOCK_TRIALS):
+        block = i_max[start:start + mc._BLOCK_TRIALS]
+        total += float(block[block > 0.0].sum())
+    return total
 
 
 def _violating_runs(config, lo, hi):
@@ -547,11 +558,12 @@ class TestWorkerIndependence:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_collect_keeps_violating_trials_in_order(self, workers):
         # the merged partial is that of the violating trials of the
-        # concatenated chunks, its float sum of I taken in chunk order
+        # concatenated chunks, its float sum of I taken block by block in
+        # each chunk and chunk by chunk
         config = ScenarioConfig(scenario="rom", alpha_ratio=0.7, trials=2 * mc.CHUNK_TRIALS + 7,
                                 master_seed=12, selection_policy="min-eta", workers=workers)
         rows = [_trial_rows(config, lo, hi) for lo, hi in mc._chunk_grid(config.trials)]
-        chunk_sums = [float(i[i > 0.0].sum()) for (i,), _ in rows]
+        chunk_sums = [_block_sum(i) for (i,), _ in rows]
         i_max = np.concatenate([i for (i,), _ in rows])
         eta = np.concatenate([e for _, (e,) in rows])
         violated = i_max > 0.0
@@ -604,6 +616,31 @@ class TestPartials:
         # the middle values lie in [3w, 4w) and [7w, 7.5w]
         assert mc._median_estimate(total) == (5.25 * w, 2.25 * w)
 
+    def test_block_counts_ties_as_numpy_does(self):
+        # eta_req on a histogram edge or a curve point and I on a bin edge
+        # count as np.histogram and <= count them, trials with I <= 0 (eta_req
+        # NaN) are skipped, and I is summed by numpy, which here differs
+        # from the exactly rounded sum
+        config = ScenarioConfig(scenario="rim")
+        edges, points = mc._histogram_edges(config), mc._eta_points(config)
+        w = 1.0 / mc._I_SCALE
+        i_max = np.array([0.2, 3 * w, w, 0.1, 0.0, -0.1] + [1e-17] * 12)
+        eta = np.array([edges[1], edges[0], edges[-1], points[7], np.nan, np.nan]
+                       + [0.9123] * 12)
+        part = mc._Partial(np.zeros(len(edges), np.intp), np.zeros(len(points), np.intp),
+                           np.zeros(mc._I_BINS, np.int32))
+        part.add_block(i_max, eta, edges, points, np.empty((3, len(eta))))
+        violated = i_max > 0.0
+        i_max, eta = i_max[violated], eta[violated]
+        assert part.violating == len(eta) == 16
+        assert part.below_edges[0] == 0
+        np.testing.assert_array_equal(np.diff(part.below_edges), np.histogram(eta, bins=edges)[0])
+        np.testing.assert_array_equal(part.at_most, [(eta <= p).sum() for p in points])
+        i_edges = np.arange(mc._I_BINS + 1) / mc._I_SCALE
+        np.testing.assert_array_equal(part.i_counts, np.histogram(i_max, bins=i_edges)[0])
+        assert part.i_sum == float(i_max.sum()) != math.fsum(i_max)
+        assert (part.i_top, part.eta_min, part.eta_max) == (0.2, edges[0], edges[-1])
+
     def test_memory_does_not_grow_with_the_trial_count(self):
         def peak(chunks):
             config = ScenarioConfig(scenario="rotm", alpha_ratio=0.5, visibility=0.95,
@@ -618,10 +655,29 @@ class TestPartials:
         mc._form_tables(3)  # built once per process, outside the trace
         assert peak(8) - peak(2) < 1 << 20
 
+    def test_chunk_memory_is_its_partial_and_a_block(self):
+        # a ROTM chunk at 95% violating trials keeps no row of its trials
+        # and no violating value beyond a block's: what it allocates is its
+        # partial, of a size fixed by the config, and a block's temporaries
+        config = ScenarioConfig(scenario="rotm", alpha_ratio=0.5, visibility=0.95, master_seed=3)
+        mc._form_tables(3)
+        mc._chunk_partial(config, 0, mc.CHUNK_TRIALS, (config,))
+        tracemalloc.start()
+        try:
+            (part,) = mc._chunk_partial(config, 0, mc.CHUNK_TRIALS, (config,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert part.violating > 0.9 * mc.CHUNK_TRIALS
+        assert peak < 1 << 20
+        (few,) = mc._chunk_partial(config, 0, 100, (config,))
+        arrays = (part.below_edges, part.at_most, part.i_counts)
+        assert part.nbytes == few.nbytes == sum(a.nbytes for a in arrays) + 5 * 8
+
     def test_chunk_memory_grows_little_per_state(self):
-        # a chunk keeps each state's violating values only, not a row of
-        # every trial; the block workspace and the form tables are made once
-        # per process, before the trace
+        # a chunk keeps a partial per state, not a row of its trials nor
+        # its violating values; the block workspace and the form tables are
+        # made once per process, before the trace
         base = ScenarioConfig(scenario="rim", master_seed=5)
         many = [replace(base, alpha_ratio=float(ratio)) for ratio in np.linspace(0.2, 1.0, 41)]
 
@@ -634,7 +690,7 @@ class TestPartials:
                 tracemalloc.stop()
 
         mc._chunk_partial(base, 0, mc.CHUNK_TRIALS, (base,))
-        assert (peak(many) - peak((base,))) / (len(many) - 1) < 512 << 10
+        assert (peak(many) - peak((base,))) / (len(many) - 1) < 128 << 10
 
 
 class TestWorkspace:
@@ -651,19 +707,33 @@ class TestWorkspace:
                for ratio in (0.5, 0.75, 1.0)]
         short = config("rim", trials=10_007, alpha_ratio=0.5)
         assert short.trials % mc._BLOCK_TRIALS
+        buffers = [a for workspace in mc._WORKSPACES.values() for a in workspace]
         results = []
         for states in ([rim], [rotm], rom, [short], [rim]):
             base = states[0]
             edges, points = mc._histogram_edges(base), mc._eta_points(base)
             for lo, hi in mc._chunk_grid(base.trials):
-                # the block's reduction against the old one on its trial rows
+                # each block's reduction against numpy's on the chunk's trial rows
                 partials = mc._chunk_partial(base, lo, hi, states)
                 for got, i_max, eta in zip(partials, *_trial_rows(base, lo, hi, states)):
+                    i_sum = _block_sum(i_max)
                     violated = i_max > 0.0
-                    want = mc._partial(i_max[violated], np.sort(eta[violated]), edges, points)
-                    for field in fields(mc._Partial):
-                        np.testing.assert_array_equal(getattr(got, field.name),
-                                                      getattr(want, field.name), field.name)
+                    i_max, eta = i_max[violated], np.sort(eta[violated])
+                    assert got.violating == len(eta)
+                    np.testing.assert_array_equal(np.diff(got.below_edges),
+                                                  np.histogram(eta, bins=edges)[0])
+                    assert got.below_edges[0] == (eta < edges[0]).sum()
+                    np.testing.assert_array_equal(got.at_most, [(eta <= p).sum() for p in points])
+                    bins = np.minimum(np.floor(i_max * mc._I_SCALE).astype(int), mc._I_BINS - 1)
+                    np.testing.assert_array_equal(got.i_counts,
+                                                  np.bincount(bins, minlength=mc._I_BINS))
+                    assert got.i_sum == i_sum
+                    if len(eta):
+                        assert (got.i_top, got.eta_min, got.eta_max) == (i_max.max(), eta[0],
+                                                                         eta[-1])
+                    # the partial's arrays are its own, not views of the workspace
+                    for a in (got.below_edges, got.at_most, got.i_counts):
+                        assert not any(np.shares_memory(a, b) for b in buffers)
             results.append(sweep(states))
         first, last = results[0][0], results[-1][0]
         _assert_same_tables(first, last)
@@ -672,7 +742,6 @@ class TestWorkspace:
         assert json.dumps(summaries[0]) == json.dumps(summaries[1])
         # one full-size workspace per settings count, whatever ran
         assert sorted(mc._WORKSPACES) == [2, 3]
-        buffers = [a for workspace in mc._WORKSPACES.values() for a in workspace]
         assert all(mc._BLOCK_TRIALS in a.shape for a in buffers)
         # per-trial results are fresh arrays: two held at once share no
         # memory with each other or with the workspace
@@ -680,9 +749,11 @@ class TestWorkspace:
                 *_trial_rows(short, 9_990, 10_007)]
         for k, a in enumerate(held):
             assert not any(np.shares_memory(a, b) for b in held[k + 1:] + buffers)
-        # and so are a chunk's violating values
-        for a in mc._evaluate_chunk(rotm, 0, 1000, [rotm, replace(rotm, alpha_ratio=1.0)]):
-            assert not any(np.shares_memory(a, b) for b in buffers)
+        # and so are two partials of one chunk
+        first, second = mc._evaluate_chunk(rotm, 0, 1000, [rotm, replace(rotm, alpha_ratio=1.0)])
+        for a in (first.below_edges, first.at_most, first.i_counts):
+            assert not any(np.shares_memory(a, b)
+                           for b in (second.below_edges, second.at_most, second.i_counts))
 
 
 class TestScalingSanity:
