@@ -158,12 +158,15 @@ def _progress_printer():
 
 
 def _parse_ratios(text: str) -> list[tuple[str, float]]:
-    """(token, value) of each ratio in a comma-separated list; the config
-    checks the values."""
+    """(token, value) of each ratio in a comma-separated list, no value
+    repeated; the config checks the values."""
     tokens = [tok.strip() for tok in text.split(",")]
     if not all(tokens):
         raise ValueError("empty ratio in list")
-    return [(tok, float(tok)) for tok in tokens]
+    values = [float(tok) for tok in tokens]
+    if len(set(values)) < len(values):
+        raise ValueError("repeated ratio in list")
+    return list(zip(tokens, values))
 
 
 def _parse_eta_grid(text: str) -> tuple[float, float, float]:

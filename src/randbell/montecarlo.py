@@ -34,10 +34,10 @@ pair's in-plane product), the closed-form route in `quantum` turns those
 into each state's correlator rows D = 2E and marginal rows, with no
 probability p00 formed, and the forms follow in closed form too: on each
 choice of two settings per party they are the CHSH expressions
-(+-S_k - 2)/4, so each run of forms that share the marginal part N needs
-one min or max of the choice's correlator rows (`_form_tables`).  One
-loop over the runs (`_run_values`) keeps a running winner in form order,
-max-i's pick; min-eta also counts each trial's violating runs, and only the
+(+-S_k - 2)/4, in four runs of two forms that share the marginal part N,
+and each run's best S needs one min or max of two of the choice's
+correlator rows (`_form_tables`).  One loop over the runs (`_run_values`)
+keeps a running winner in form order, max-i's pick; min-eta also counts each trial's violating runs, and only the
 trials with two or more re-pick by the per-run eta_req competition.  No
 per-form sum or matrix is built and no BLAS call is made.  The exact
 operator route in `quantum`/`chsh`, fed by the scalar samplers'
@@ -57,7 +57,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, partial
-from itertools import repeat
+from itertools import combinations, product, repeat
 
 import numpy as np
 
@@ -224,6 +224,12 @@ class _Partial:
     eta_min: float = math.inf
     eta_max: float = -math.inf
 
+    @classmethod
+    def empty(cls, config: ScenarioConfig, i_dtype) -> "_Partial":
+        """The partial of no trials of config, its I counts of i_dtype."""
+        return cls(np.zeros(config.histogram_bins + 1, np.intp),
+                   np.zeros(len(_eta_points(config)), np.intp), np.zeros(_I_BINS, i_dtype))
+
     @property
     def nbytes(self) -> int:
         """Bytes of its counts and of its five scalars, 8 each."""
@@ -294,41 +300,27 @@ def _form_tables(settings_per_party: int):
     Write D = 2E = 8 p00 - 4 pA0 - 4 pB0 + 2 for each setting pair (see
     `quantum.doubled_correlator`).  Every form is I = (sign * S_k - 2) / 4
     on the four pairs of its setting choice, with S_k = T - D_k and
-    T = sum(D) / 2 over the choice (the CHSH expressions): its p00
-    coefficients are sign on three of the pairs and -sign on the fourth, k.
-    A run is a stretch of consecutive forms of one choice that share N.
+    T = sum(D) / 2 over the choice (the CHSH expressions).  Each choice
+    {x0, x1} x {y0, y1} owns 8 consecutive forms, the choices in
+    lexicographic order, and they make 4 runs of two forms that share N:
+    S3 and S1, -S1 and -S3, S2 and -S0, S0 and -S2 (see `_run_values`).
 
-    Returns (choices, n_const, terms).  Each choice is (its four pair rows,
-    its runs); a run is (the k of its forms of sign +1, those of sign -1).
-    Runs are numbered in form order across choices.  A run's N is its
-    n_const plus, for each (row of `_state_rows`, coefficients) of terms, its
-    coefficient (-1, 0 or +1) times that marginal row; terms lists every
-    marginal row some run uses, pA0 rows before pB0 rows.
+    Returns (choices, n_const, terms).  Each choice is its four pair rows
+    (x0y0, x0y1, x1y0, x1y1).  Runs are numbered in form order across
+    choices, and run r's N is that of forms 2r and 2r + 1: its n_const plus,
+    for each (row of `_state_rows`, coefficients) of terms, its coefficient
+    (-1, 0 or +1) times that marginal row; terms lists every marginal row
+    some run uses, pA0 rows before pB0 rows.
     """
     s = settings_per_party
-    _, weights, n_const, n_a, n_b = chsh.form_coefficients(chsh.enumerate_forms(s), s)
-    n_key = np.concatenate([n_const[:, None], n_a, n_b], axis=1)
-    choices = []
-    run_forms = []  # the first form of each run
-    last = None
-    for f, column in enumerate(weights.T):
-        pairs = tuple(np.flatnonzero(column[:s * s]).tolist())
-        sign = column[list(pairs)].sum() / 2
-        k = next(pair for pair in pairs if column[pair] == -sign)
-        key = (pairs, tuple(n_key[f]))
-        if key != last:
-            if not choices or choices[-1][0] != pairs:
-                choices.append((pairs, []))
-            choices[-1][1].append(([], []))
-            run_forms.append(f)
-            last = key
-        choices[-1][1][-1][0 if sign > 0 else 1].append(k)
-    choices = tuple((pairs, tuple((tuple(plus), tuple(minus)) for plus, minus in runs))
-                    for pairs, runs in choices)
-    n_weights = np.concatenate([n_a, n_b], axis=1)[run_forms]
+    _, _, n_const, n_a, n_b = chsh.form_coefficients(chsh.enumerate_forms(s), s)
+    two = list(combinations(range(s), 2))
+    choices = tuple((x0 * s + y0, x0 * s + y1, x1 * s + y0, x1 * s + y1)
+                    for (x0, x1), (y0, y1) in product(two, two))
+    n_weights = np.concatenate([n_a, n_b], axis=1)[::2]
     terms = tuple((s * s + row, n_weights[:, row])
                   for row in range(2 * s) if n_weights[:, row].any())
-    return choices, n_const[run_forms], terms
+    return choices, n_const[::2], terms
 
 
 # Each scenario's map from a (B, 8) uniform block to its coordinate rows
@@ -434,8 +426,7 @@ def _evaluate_chunk(config: ScenarioConfig, lo: int, hi: int, states=None) -> li
     edges = _histogram_edges(config)
     points = _eta_points(config)
     # a chunk's I counts fit int32, which halves what a worker sends
-    parts = [_Partial(np.zeros(len(edges), np.intp), np.zeros(len(points), np.intp),
-                      np.zeros(_I_BINS, np.int32)) for _ in states]
+    parts = [_Partial.empty(config, np.int32) for _ in states]
     for _, k, i_max, eta, spare in _block_winners(config, lo, hi, states):
         parts[k].add_block(i_max, eta, edges, points, spare)
     return parts
@@ -455,47 +446,30 @@ def _trial_rows(config: ScenarioConfig, lo: int, hi: int, states=None):
     return i_max, eta
 
 
-def _extreme(ufunc, d, rows, out):
-    """ufunc (np.minimum or np.maximum) over the given rows of d, in out;
-    a lone row is returned as it is."""
-    if len(rows) == 1:
-        return d[rows[0]]
-    ufunc(d[rows[0]], d[rows[1]], out=out)
-    for row in rows[2:]:
-        ufunc(out, d[row], out=out)
-    return out
-
-
-def _choice_total(d, pairs, out):
-    """T = sum(D) / 2 over a choice's four pairs, in out."""
-    np.add(d[pairs[0]], d[pairs[1]], out=out)
-    out += d[pairs[2]]
-    out += d[pairs[3]]
-    out *= 0.5
-    return out
-
-
 def _run_values(rows, settings_per_party: int, work=None):
     """The best S of each run of `_form_tables`, in run order, for each
     trial (column) of a state's rows, in one row that each run overwrites;
     `work`, if given, lends its first three rows.
 
-    A run's forms share N, and their best S is max(T - min D_k, max D_k - T)
-    over its forms of sign +1 and -1, with no per-form sum.
+    With T = sum(D) / 2 over a choice's pairs D0..D3, its four runs' best S
+    are T - min(D3, D1), max(D1, D3) - T, max(T - D2, D0 - T) and
+    max(T - D0, D2 - T), with no per-form sum.
     """
     t, value, spare = np.empty((3, rows.shape[1])) if work is None else work[:3]
-    for pairs, runs in _form_tables(settings_per_party)[0]:
-        _choice_total(rows, pairs, t)
-        for plus, minus in runs:
-            # a run may have forms of one sign only
-            if plus:
-                np.subtract(t, _extreme(np.minimum, rows, plus, value), out=value)
-            if minus:
-                side = spare if plus else value
-                np.subtract(_extreme(np.maximum, rows, minus, side), t, out=side)
-                if plus:
-                    np.maximum(value, spare, out=value)
-            yield value
+    for p0, p1, p2, p3 in _form_tables(settings_per_party)[0]:
+        d0, d1, d2, d3 = rows[p0], rows[p1], rows[p2], rows[p3]
+        np.add(d0, d1, out=t)
+        t += d2
+        t += d3
+        t *= 0.5
+        np.subtract(t, np.minimum(d3, d1, out=value), out=value)
+        yield value
+        np.subtract(np.maximum(d1, d3, out=value), t, out=value)
+        yield value
+        np.subtract(t, d2, out=value)
+        yield np.maximum(value, np.subtract(d0, t, out=spare), out=value)
+        np.subtract(t, d0, out=value)
+        yield np.maximum(value, np.subtract(d2, t, out=spare), out=value)
 
 
 def _forms_winner(rows, settings_per_party: int, policy: str, work=None):
@@ -632,19 +606,21 @@ def _collect_chunks(config: ScenarioConfig, progress=None, states=None):
     `states` share config's trial streams and differ from it in alpha_ratio
     and visibility only.  Chunks are consumed in grid order, in this
     process for one worker and from a process pool otherwise, and each
-    state's partial is merged into its first as it arrives, so peak memory
-    is one partial per state plus the chunks in flight, whatever the trial
-    count.  Progress and abort counts are trials times states.  A trial
-    error in any state, a dead worker process or an interrupt aborts the
-    whole run with the count of trials completed, in order, before it; any
-    exception cancels the pending chunks.
+    state's partial is merged as it arrives into that state's total, which
+    starts as the empty partial, so peak memory is one total per state plus
+    the chunks in flight, whatever the trial count.  Progress and abort
+    counts are trials times states.  A trial error in any state, a dead
+    worker process or an interrupt aborts the whole run with the count of
+    trials completed, in order, before it; any exception cancels the
+    pending chunks.
     """
     states = states or (config,)
     chunks = _chunk_grid(config.trials)
     total = len(states) * config.trials
     started = time.perf_counter()
     done = 0
-    totals = None
+    # the totals' I counts may outgrow a chunk's int32
+    totals = [_Partial.empty(config, np.int64) for _ in states]
     try:
         with ExitStack() as stack:
             chunk_map = map
@@ -658,13 +634,10 @@ def _collect_chunks(config: ScenarioConfig, progress=None, states=None):
                 chunk_map = pool.map
             los, his = zip(*chunks)
             parts = chunk_map(_chunk_partial, repeat(config), los, his, repeat(states))
-            for hi, part in zip(his, parts):
-                if totals is None:
-                    # the first partials become the totals, whose I counts
-                    # may outgrow a chunk's int32
-                    totals = [replace(p, i_counts=p.i_counts.astype(np.int64)) for p in part]
-                else:
-                    totals = [t.merge(p) for t, p in zip(totals, part)]
+            for hi in his:
+                # taken inside the merge, so no name holds a chunk's partials
+                # while the next one is made
+                totals = [t.merge(p) for t, p in zip(totals, next(parts))]
                 done = len(states) * hi
                 if progress is not None:
                     progress(done, total, time.perf_counter() - started)

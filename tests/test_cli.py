@@ -252,7 +252,8 @@ class TestSweep:
         assert a == (run_dir / "curve.csv").read_bytes()
 
     def test_malformed_ratios(self, tmp_path, capsys):
-        for ratios in ("0.5,,1.0", "abc", "0.5,-1", "0.5,0", "0.5,inf", "0.5,nan"):
+        for ratios in ("0.5,,1.0", "abc", "0.5,-1", "0.5,0", "0.5,inf", "0.5,nan", "0.5,0.5",
+                       "0.5,0.50"):
             out = tmp_path / "out"
             assert _run(["sweep", "--scenario", "rim", "--alpha-ratios", ratios,
                          "--trials", "1000", "--out-dir", str(out)]) == 1, ratios

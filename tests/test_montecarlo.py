@@ -11,6 +11,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import randbell.chsh as chsh
 import randbell.montecarlo as mc
 import randbell.quantum as quantum
 from randbell import (
@@ -488,16 +489,57 @@ class TestFormTables:
                 np.testing.assert_array_equal(n_b[f], n_b_f * np.eye(s)[y0])
                 np.testing.assert_array_equal(np.append(weights[:, f], const[f]),
                                               (sign * (t - d[k]) - 2 * one) / 4)
-        # the stage's tables: per choice, its pairs and 4 runs, one per
-        # stretch of consecutive forms of one class, each with the pairs of
-        # its forms of sign +1 and of sign -1
-        tables = mc._form_tables(s)[0]
-        assert [pairs for pairs, _ in tables] == [
+        # the stage's choices: each one's pair rows, in the blocks' order
+        assert mc._form_tables(s)[0] == tuple(
             (x0 * s + y0, x0 * s + y1, x1 * s + y0, x1 * s + y1)
-            for (x0, x1), (y0, y1) in blocks]
-        for pairs, runs in tables:
-            assert runs == (((pairs[3], pairs[1]), ()), ((), (pairs[1], pairs[3])),
-                            ((pairs[2],), (pairs[0],)), ((pairs[0],), (pairs[2],)))
+            for (x0, x1), (y0, y1) in blocks)
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_run_values_are_the_best_s_of_each_pair_of_forms(self, s):
+        # tables in 64ths, on which every sum below is exact: run r's value
+        # is, bit for bit, the larger S = 4I + 2 of forms 2r and 2r + 1 of
+        # the dense weights, and the tables' N is those forms' N
+        const, weights, n_const, n_a, n_b = form_coefficients(enumerate_forms(s), s)
+        rng = np.random.default_rng(8)
+        p00, pa0, pb0 = (rng.integers(0, 65, (n, 500)) / 64 for n in (s * s, s, s))
+        d = 8 * p00 - 4 * np.repeat(pa0, s, axis=0) - 4 * np.tile(pb0, (s, 1)) + 2
+        rows = np.concatenate([d, pa0, pb0])
+        s_forms = 4 * (weights.T @ np.concatenate([p00, pa0, pb0]) + const[:, None]) + 2
+        n_forms = n_const[:, None] + n_a @ pa0 + n_b @ pb0
+        _, run_n_const, terms = mc._form_tables(s)
+        values = [value.copy() for value in mc._run_values(rows, s)]
+        assert len(values) == len(const) // 2
+        for run, value in enumerate(values):
+            np.testing.assert_array_equal(value, s_forms[2 * run:2 * run + 2].max(axis=0))
+            n = run_n_const[run] + sum(c[run] * rows[row] for row, c in terms)
+            np.testing.assert_array_equal(n, n_forms[2 * run])
+            np.testing.assert_array_equal(n, n_forms[2 * run + 1])
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_tables_come_from_the_module_hooks(self, s, monkeypatch):
+        # the tables are built through `chsh.form_coefficients` and
+        # `chsh.enumerate_forms` as looked up on the module, which a trace
+        # can wrap
+        calls = []
+
+        def counted(name):
+            wrapped = getattr(chsh, name)
+
+            def call(*args):
+                calls.append((name, args))
+                return wrapped(*args)
+            return call
+
+        monkeypatch.setattr(chsh, "enumerate_forms", counted("enumerate_forms"))
+        monkeypatch.setattr(chsh, "form_coefficients", counted("form_coefficients"))
+        mc._form_tables.cache_clear()
+        try:
+            mc._form_tables(s)
+        finally:
+            mc._form_tables.cache_clear()
+        (first, (first_s,)), (second, (forms, second_s)) = calls
+        assert (first, first_s, second, second_s) == ("enumerate_forms", s, "form_coefficients", s)
+        assert forms == enumerate_forms(s)
 
 
 class TestCoordinateRows:
@@ -627,8 +669,7 @@ class TestPartials:
         i_max = np.array([0.2, 3 * w, w, 0.1, 0.0, -0.1] + [1e-17] * 12)
         eta = np.array([edges[1], edges[0], edges[-1], points[7], np.nan, np.nan]
                        + [0.9123] * 12)
-        part = mc._Partial(np.zeros(len(edges), np.intp), np.zeros(len(points), np.intp),
-                           np.zeros(mc._I_BINS, np.int32))
+        part = mc._Partial.empty(config, np.int32)
         part.add_block(i_max, eta, edges, points, np.empty((3, len(eta))))
         violated = i_max > 0.0
         i_max, eta = i_max[violated], eta[violated]
@@ -691,6 +732,25 @@ class TestPartials:
 
         mc._chunk_partial(base, 0, mc.CHUNK_TRIALS, (base,))
         assert (peak(many) - peak((base,))) / (len(many) - 1) < 128 << 10
+
+    def test_chunk_loop_holds_one_chunk_partial_per_state(self):
+        # one worker over 4 chunks keeps each state's int64 total and the
+        # partial of the chunk being merged, about 203 KB; a loop that also
+        # holds the previous chunk's partials while the next is made reads
+        # about 69 KB more
+        base = ScenarioConfig(scenario="rim", trials=4 * mc.CHUNK_TRIALS, master_seed=5)
+        many = [replace(base, alpha_ratio=float(ratio)) for ratio in np.linspace(0.2, 1.0, 41)]
+
+        def peak(states):
+            tracemalloc.start()
+            try:
+                mc._collect_chunks(base, states=states)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        mc._chunk_partial(base, 0, mc.CHUNK_TRIALS, (base,))
+        assert (peak(many) - peak((base,))) / (len(many) - 1) < 240 << 10
 
 
 class TestWorkspace:
