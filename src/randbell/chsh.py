@@ -213,44 +213,38 @@ def ch_value(table: ProbabilityTable, form: CHForm) -> float:
 # representation is unique.  Coefficients are exact integers.
 # ---------------------------------------------------------------------------
 
+def _outcome0(form: CHForm, party: int, slot: int):
+    """How the relabeled table's p(outcome 0 | slot) of party A (0) or B (1)
+    reads the original table: (original party, setting, c, sign), meaning
+    c + sign * p(0) of that party at that setting.  A party swap reads the
+    other party, and an outcome flip reads 1 - p(0)."""
+    x, flip = ((form.setting_perm_b[slot], form.outcome_flip_b[slot]) if party
+               else (form.setting_perm_a[slot], form.outcome_flip_a[slot]))
+    return party ^ form.party_swap, x, int(flip), 1 - 2 * flip
+
+
 def _reduced_coefficients(form: CHForm, s: int):
     """(const, c_p00[x * s + y], c_a[x], c_b[y]) of the form's functional,
     as Python ints in lists."""
     const = 0
     cp = [0] * (s * s)
-    ca = [0] * s
-    cb = [0] * s
-
-    def add_joint(a, b, x, y, sign):
-        nonlocal const
-        # joint[a,b,x,y] expanded over (p00, pA0, pB0, 1)
-        if a == 0 and b == 0:
-            cp[x * s + y] += sign
-        elif a == 0 and b == 1:
-            ca[x] += sign
-            cp[x * s + y] -= sign
-        elif a == 1 and b == 0:
-            cb[y] += sign
-            cp[x * s + y] -= sign
-        else:
-            const += sign
-            ca[x] -= sign
-            cb[y] -= sign
-            cp[x * s + y] += sign
-
-    pa, pb = form.setting_perm_a, form.setting_perm_b
-    fa, fb = form.outcome_flip_a, form.outcome_flip_b
-    for (x, y), sign in (((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((1, 1), -1)):
-        a, b = int(fa[x]), int(fb[y])
-        xo, yo = pa[x], pb[y]
-        if form.party_swap:
-            add_joint(b, a, yo, xo, sign)
-        else:
-            add_joint(a, b, xo, yo, sign)
-    # I = joint part - N
-    n_const, na, nb = _marginal_part(form, s)
-    return (const - n_const, cp, [c - n for c, n in zip(ca, na)],
-            [c - n for c, n in zip(cb, nb)])
+    marg = ([0] * s, [0] * s)
+    a0, a1 = _outcome0(form, 0, 0), _outcome0(form, 0, 1)
+    b0, b1 = _outcome0(form, 1, 0), _outcome0(form, 1, 1)
+    # p'(00|xy) = E[(c_A + s_A 1[A=0])(c_B + s_B 1[B=0])], for the terms
+    # p'(00|00) + p'(00|01) + p'(00|10) - p'(00|11)
+    for (party_a, xa, c_a, s_a), (party_b, xb, c_b, s_b), sign in (
+            (a0, b0, 1), (a0, b1, 1), (a1, b0, 1), (a1, b1, -1)):
+        const += sign * c_a * c_b
+        marg[party_a][xa] += sign * s_a * c_b
+        marg[party_b][xb] += sign * c_a * s_b
+        xo, yo = (xa, xb) if party_a == 0 else (xb, xa)
+        cp[xo * s + yo] += sign * s_a * s_b
+    # I = joint part - N, with N = p'_A(0|0) + p'_B(0|0) (`_marginal_part`)
+    for original, x, c, sign in (a0, b0):
+        const -= c
+        marg[original][x] -= sign
+    return const, cp, marg[0], marg[1]
 
 
 def _form_key(form: CHForm, s: int):
@@ -262,20 +256,11 @@ def _marginal_part(form: CHForm, s: int):
     """(const, n_a[x], n_b[y]) of N = p'_A(0|0) + p'_B(0|0) for this form,
     as Python ints in lists."""
     const = 0
-    na = [0] * s
-    nb = [0] * s
-    parts = [("A", int(form.outcome_flip_a[0]), form.setting_perm_a[0]),
-             ("B", int(form.outcome_flip_b[0]), form.setting_perm_b[0])]
-    for party, flip, x in parts:
-        if form.party_swap:
-            party = "B" if party == "A" else "A"
-        vec = na if party == "A" else nb
-        if flip:
-            const += 1
-            vec[x] -= 1
-        else:
-            vec[x] += 1
-    return const, na, nb
+    n = ([0] * s, [0] * s)
+    for original, x, c, sign in (_outcome0(form, 0, 0), _outcome0(form, 1, 0)):
+        const += c
+        n[original][x] += sign
+    return const, n[0], n[1]
 
 
 def _generate_all_forms(s: int):

@@ -37,12 +37,13 @@ choice of two settings per party they are the CHSH expressions
 (+-S_k - 2)/4, in four runs of two forms that share the marginal part N,
 and each run's best S needs one min or max of two of the choice's
 correlator rows (`_form_tables`).  One loop over the runs (`_run_values`)
-keeps a running winner in form order, max-i's pick; min-eta also counts each trial's violating runs, and only the
-trials with two or more re-pick by the per-run eta_req competition.  No
-per-form sum or matrix is built and no BLAS call is made.  The exact
-operator route in `quantum`/`chsh`, fed by the scalar samplers'
-directions, computes the same numbers one trial at a time and serves as
-the independent cross-check (see tests and the CLI verify command).
+keeps a running winner in form order, max-i's pick; min-eta also counts
+each trial's violating runs, and only the trials with two or more re-pick
+by the per-run eta_req competition.  No per-form sum or matrix is built
+and no BLAS call is made.  The exact operator route in `quantum`/`chsh`,
+fed by the scalar samplers' directions, computes the same numbers one
+trial at a time and serves as the independent cross-check (see tests and
+the CLI verify command).
 """
 
 from __future__ import annotations
@@ -52,12 +53,13 @@ import os
 import platform
 import signal
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, partial
-from itertools import combinations, product, repeat
+from itertools import combinations, product, starmap
 
 import numpy as np
 
@@ -98,10 +100,11 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _WILSON_Z = 1.959963984540054  # 97.5th normal percentile
 
 # The median of I given violation comes from integer counts on bins of width
-# 2**-16 over [0, 1/4), the last bin open above.  Scaling by a power of two
-# is exact, so a value's bin is exact too.
+# 2**-16 up to the first edge past the Tsirelson bound, which caps every I,
+# the last bin open above.  Scaling by a power of two is exact, so a value's
+# bin is exact too.
 _I_SCALE = 2.0 ** 16
-_I_BINS = 1 << 14
+_I_BINS = math.ceil(chsh.TSIRELSON_BOUND * _I_SCALE)
 
 
 class ExperimentAborted(RuntimeError):
@@ -130,10 +133,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        if not (self.alpha_ratio > 0) or not math.isfinite(self.alpha_ratio):
-            raise ValueError("alpha_ratio must be positive and finite")
-        if not (0.0 <= self.visibility <= 1.0):
-            raise ValueError("visibility must be in [0, 1]")
+        NoisyState.from_ratio(self.alpha_ratio, self.visibility)  # ValueError if it cannot be made
         if int(self.trials) <= 0:
             raise ValueError("trials must be positive")
         if int(self.histogram_bins) <= 0:
@@ -582,7 +582,8 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
 
 
 def _chunk_grid(trials: int):
-    return [(lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS)]
+    """(lo, hi) of each chunk, in order, made as they are read."""
+    return ((lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS))
 
 
 def _histogram_edges(config: ScenarioConfig) -> np.ndarray:
@@ -599,23 +600,36 @@ def _chunk_partial(config: ScenarioConfig, lo: int, hi: int, states) -> list[_Pa
     return _evaluate_chunk(config, lo, hi, states)
 
 
+def _in_order(pool: ProcessPoolExecutor, fn, tasks, window: int):
+    """fn(*task) for each of `tasks`, in order, from the pool, with at most
+    `window` of them submitted and not yet taken; `Executor.map` submits
+    every task at once, which holds memory in proportion to their count."""
+    pending = deque()
+    for task in tasks:
+        pending.append(pool.submit(fn, *task))
+        if len(pending) == window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def _collect_chunks(config: ScenarioConfig, progress=None, states=None):
     """The merged partial of every chunk, one per config of `states`, by
     default config alone.
 
     `states` share config's trial streams and differ from it in alpha_ratio
     and visibility only.  Chunks are consumed in grid order, in this
-    process for one worker and from a process pool otherwise, and each
-    state's partial is merged as it arrives into that state's total, which
-    starts as the empty partial, so peak memory is one total per state plus
-    the chunks in flight, whatever the trial count.  Progress and abort
+    process for one worker and otherwise from a process pool, which holds
+    at most 4 chunks per worker submitted and not yet taken.  Each state's
+    partial is merged as it arrives into that state's total, which starts
+    as the empty partial, so peak memory is one total per state plus the
+    chunks in flight, whatever the trial count.  Progress and abort
     counts are trials times states.  A trial error in any state, a dead
     worker process or an interrupt aborts the whole run with the count of
     trials completed, in order, before it; any exception cancels the
     pending chunks.
     """
     states = states or (config,)
-    chunks = _chunk_grid(config.trials)
     total = len(states) * config.trials
     started = time.perf_counter()
     done = 0
@@ -623,18 +637,17 @@ def _collect_chunks(config: ScenarioConfig, progress=None, states=None):
     totals = [_Partial.empty(config, np.int64) for _ in states]
     try:
         with ExitStack() as stack:
-            chunk_map = map
-            if config.workers > 1 and len(chunks) > 1:
+            tasks = ((config, lo, hi, states) for lo, hi in _chunk_grid(config.trials))
+            parts = starmap(_chunk_partial, tasks)
+            if config.workers > 1 and config.trials > CHUNK_TRIALS:
                 # an interrupt is the parent's to handle: it cancels the
                 # pending chunks, and the workers finish the running ones
                 pool = ProcessPoolExecutor(max_workers=config.workers,
                                            initializer=signal.signal,
                                            initargs=(signal.SIGINT, signal.SIG_IGN))
                 stack.callback(pool.shutdown, cancel_futures=True)
-                chunk_map = pool.map
-            los, his = zip(*chunks)
-            parts = chunk_map(_chunk_partial, repeat(config), los, his, repeat(states))
-            for hi in his:
+                parts = _in_order(pool, _chunk_partial, tasks, 4 * config.workers)
+            for _, hi in _chunk_grid(config.trials):
                 # taken inside the merge, so no name holds a chunk's partials
                 # while the next one is made
                 totals = [t.merge(p) for t, p in zip(totals, next(parts))]

@@ -74,8 +74,8 @@ class PureTwoQubitState:
         a product state.
         """
         r = float(alpha_over_beta)
-        if not (r > 0) or not math.isfinite(r):
-            raise ValueError("alpha/beta ratio must be positive and finite")
+        if not (r > 0) or not math.isfinite(r * r):
+            raise ValueError("alpha/beta ratio must be positive, with a finite square")
         beta = 1.0 / math.sqrt(1.0 + r * r)
         return cls(alpha=r * beta, beta=beta)
 

@@ -25,6 +25,7 @@ from randbell import (
     max_violation,
 )
 from randbell.chsh import (
+    ProbabilityTable,
     apply_form,
     deterministic_strategy_table,
     form_coefficients,
@@ -55,6 +56,19 @@ def _random_table(rng, nsettings=2, ratio=None, visibility=None):
     a_dirs = tuple(MeasurementDirection(d) for d in dirs[:nsettings])
     b_dirs = tuple(MeasurementDirection(d) for d in dirs[nsettings:])
     return build_probability_table(state, a_dirs, b_dirs)
+
+
+def _table_in_64ths(rng, s):
+    """A valid s-setting table whose entries are multiples of 1/64, p00
+    within its Frechet bounds."""
+    pa0, pb0 = rng.integers(0, 65, s), rng.integers(0, 65, s)
+    a, b = pa0[:, None], pb0[None]
+    p00 = rng.integers(np.maximum(0, a + b - 64), np.minimum(a, b) + 1)
+    joint = np.array([[p00, a - p00], [b - p00, 64 - a - b + p00]]) / 64
+    table = ProbabilityTable(joint, np.array([pa0, 64 - pa0]) / 64,
+                             np.array([pb0, 64 - pb0]) / 64)
+    table.validate()
+    return table
 
 
 class TestProbabilityTable:
@@ -186,6 +200,24 @@ class TestEnumerateForms:
         arrays = form_coefficients(enumerate_forms(s), s)
         assert [a.dtype for a in arrays] == [np.float64] * 5
         assert hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest() == digest
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_every_relabeling_matches_the_exact_route(self, s):
+        # every relabeling of the orbit, not only each functional's first:
+        # on valid tables in 64ths every sum is exact, so the coefficients
+        # give I and N of the relabeled table bit for bit
+        forms = list(_generate_all_forms(s))
+        const, weights, n_const, n_a, n_b = form_coefficients(forms, s)
+        rng = np.random.default_rng(s)
+        for _ in range(16):
+            table = _table_in_64ths(rng, s)
+            pa0, pb0 = table.marg_a[0], table.marg_b[0]
+            values = np.concatenate([table.joint[0, 0].ravel(), pa0, pb0]) @ weights + const
+            n_values = n_const + n_a @ pa0 + n_b @ pb0
+            for form, value, n_value in zip(forms, values, n_values):
+                relabeled = apply_form(table, form)
+                assert value == ch_value(table, form)
+                assert n_value == relabeled.marg_a[0, 0] + relabeled.marg_b[0, 0]
 
     def test_three_setting_forms_embed_pair_choices(self):
         pairs = {(tuple(sorted(f.setting_perm_a)), tuple(sorted(f.setting_perm_b)))

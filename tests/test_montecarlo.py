@@ -164,6 +164,7 @@ class TestScenarioConfig:
         {"scenario": "rim", "selection_policy": "best"},
         {"scenario": "rim", "workers": 0},
         {"scenario": "rim", "histogram_bins": 0},
+        {"scenario": "rim", "alpha_ratio": 1e200},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -586,7 +587,7 @@ class TestWorkerIndependence:
         # between the forms of a setting choice, so ROTM's two policies pick
         # differently on some trials.
         trials = 2 * mc.CHUNK_TRIALS + 7
-        assert len(mc._chunk_grid(trials)) > 1
+        assert len(list(mc._chunk_grid(trials))) > 1
         a, b = (run_experiment(ScenarioConfig(scenario=scenario, alpha_ratio=0.5, visibility=0.95,
                                               trials=trials, selection_policy=policy,
                                               workers=workers))
@@ -627,7 +628,7 @@ class TestWorkerIndependence:
         assert (got.i_top, got.eta_min, got.eta_max) == (i_max.max(), eta.min(), eta.max())
 
     def test_chunk_grid_fixed(self):
-        grid = mc._chunk_grid(200_000)
+        grid = list(mc._chunk_grid(200_000))
         assert grid[0] == (0, mc.CHUNK_TRIALS)
         assert grid[-1][1] == 200_000
         assert all(hi - lo <= mc.CHUNK_TRIALS for lo, hi in grid)
@@ -695,6 +696,31 @@ class TestPartials:
 
         mc._form_tables(3)  # built once per process, outside the trace
         assert peak(8) - peak(2) < 1 << 20
+
+    def test_pool_parent_memory_does_not_grow_with_the_chunk_count(self):
+        # stopped after its first chunk, a pool run holds a few chunks
+        # submitted, not one task per chunk of the grid
+        def peak(chunks):
+            config = ScenarioConfig(scenario="rim", trials=chunks * mc.CHUNK_TRIALS, workers=2)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ExperimentAborted):
+                    mc._collect_chunks(config, _interrupt_at(1)[0])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(16_384) - peak(64) < 1 << 20
+
+    def test_i_grid_ends_at_the_tsirelson_bound(self):
+        # the ROTM MES reaches I = 0.2070942 here, in the grid's last bin
+        config = ScenarioConfig(scenario="rotm", trials=2 * mc.CHUNK_TRIALS + 13, master_seed=21)
+        (i_max,), _ = _trial_rows(config, 0, config.trials)
+        (got,) = mc._collect_chunks(config)
+        i_edges = np.arange(mc._I_BINS + 1) / mc._I_SCALE
+        assert i_edges[-1] > chsh.TSIRELSON_BOUND > i_edges[-2]
+        np.testing.assert_array_equal(got.i_counts, np.histogram(i_max[i_max > 0.0], bins=i_edges)[0])
+        assert got.i_counts[-1] > 0
 
     def test_chunk_memory_is_its_partial_and_a_block(self):
         # a ROTM chunk at 95% violating trials keeps no row of its trials
