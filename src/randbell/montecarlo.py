@@ -6,13 +6,14 @@ records the highest value, and, when that value is positive, the required
 detection efficiency of the winning form.  Trials are embarrassingly
 parallel: each one is a pure function of (config, trial index), and workers
 own disjoint chunks of a fixed chunk grid.  Each chunk reduces its
-violating trials to a partial of fixed size (integer counts of eta_req on
-the histogram edges, the curve grid and the named etas; the violating
-count; the eta_req range and the largest I; the float sum of I; integer
-counts of I on a fixed grid, which bound the median), and the partials are
-merged in chunk order.  Integer counts add exactly and the float sum is
-taken in block order, so results are bit-identical for any worker count,
-and a run's memory does not grow with its trial count.
+violating trials to a partial of fixed size (one array of integer counts of
+eta_req up to each threshold, which the histogram, the curve and the named
+etas read as slices; the violating count; the eta_req range and the largest
+I; the float sum of I; integer counts of I on a fixed grid, which bound the
+median), and the partials are merged in chunk order.  Integer counts add
+exactly and the float sum is taken in block order, so results are
+bit-identical for any worker count, and a run's memory does not grow with
+its trial count.
 
 Runs and sweeps take one chunk loop over a set of states that share the
 trial streams of one master seed (common random numbers).  Each block's
@@ -209,14 +210,13 @@ class _Partial:
     """What aggregation needs of the violating trials of some chunks.
 
     Its size is fixed by the config, not by the trials it covers.  The
-    counts are cumulative (trials with eta_req below each histogram edge,
-    at most each curve point and named eta) or per bin (I), so adding and
-    merging are exact integer additions; the float sum of I is added in
-    block order.  The defaults are those of no trials.
+    counts are cumulative (trials with eta_req at most each of
+    `_thresholds`) or per bin (I), so adding and merging are exact integer
+    additions; the float sum of I is added in block order.  The defaults
+    are those of no trials.
     """
 
-    below_edges: np.ndarray  # eta_req < each edge; <= for the last, as np.histogram
-    at_most: np.ndarray  # eta_req <= each point of `_eta_points`
+    at_most: np.ndarray  # eta_req <= each of `_thresholds`
     i_counts: np.ndarray  # I per bin of width 1 / _I_SCALE; int32 per chunk, int64 merged
     violating: int = 0
     i_sum: float = 0.0
@@ -227,21 +227,20 @@ class _Partial:
     @classmethod
     def empty(cls, config: ScenarioConfig, i_dtype) -> "_Partial":
         """The partial of no trials of config, its I counts of i_dtype."""
-        return cls(np.zeros(config.histogram_bins + 1, np.intp),
-                   np.zeros(len(_eta_points(config)), np.intp), np.zeros(_I_BINS, i_dtype))
+        return cls(np.zeros(len(_thresholds(config)), np.intp), np.zeros(_I_BINS, i_dtype))
 
     @property
     def nbytes(self) -> int:
         """Bytes of its counts and of its five scalars, 8 each."""
-        return self.below_edges.nbytes + self.at_most.nbytes + self.i_counts.nbytes + 5 * 8
+        return self.at_most.nbytes + self.i_counts.nbytes + 5 * 8
 
-    def add_block(self, i_max: np.ndarray, eta: np.ndarray, edges: np.ndarray,
-                  points: np.ndarray, spare: np.ndarray) -> None:
+    def add_block(self, i_max: np.ndarray, eta: np.ndarray, thresholds: np.ndarray,
+                  spare: np.ndarray) -> None:
         """Add a block's I and eta_req, NaN where I <= 0, of each trial; its
         violating values go to the three rows of `spare`.  Sorted, eta_req
-        gives every eta count by a search per edge or point, several times
-        cheaper than a search per trial.  I needs no sort: its bin is its
-        scaled value, truncated, counted up to the block's largest bin."""
+        gives every eta count by one search of the thresholds, several
+        times cheaper than a search per trial.  I needs no sort: its bin is
+        its scaled value, truncated, counted up to the block's largest bin."""
         columns = np.flatnonzero(np.greater(i_max, 0.0, out=spare[2].view(bool)[:len(i_max)]))
         n = len(columns)
         if not n:
@@ -251,9 +250,7 @@ class _Partial:
         eta = eta.take(columns, out=spare[1, :n], mode="clip")
         eta.sort()
         self.violating += n
-        self.below_edges[:-1] += eta.searchsorted(edges[:-1], "left")
-        self.below_edges[-1] += eta.searchsorted(edges[-1], "right")
-        self.at_most += eta.searchsorted(points, "right")
+        self.at_most += eta.searchsorted(thresholds, "right")
         self.i_sum += float(i_max.sum())
         self.i_top = max(self.i_top, float(i_max.max()))
         self.eta_min = min(self.eta_min, float(eta[0]))
@@ -267,7 +264,6 @@ class _Partial:
     def merge(self, other: "_Partial") -> "_Partial":
         """Add `other`, the partial of later chunks, into this one."""
         self.violating += other.violating
-        self.below_edges += other.below_edges
         self.at_most += other.at_most
         self.i_counts += other.i_counts
         self.i_sum += other.i_sum
@@ -277,19 +273,22 @@ class _Partial:
         return self
 
 
-def wilson_interval(successes: int, total: int):
-    """95% Wilson score interval for a binomial proportion."""
+def wilson_interval(successes, total: int):
+    """95% Wilson score interval (low, high) for a binomial proportion;
+    elementwise, as arrays, if successes is an array."""
     if total <= 0:
         raise ValueError("total must be positive")
-    p = successes / total
+    if not np.all(np.greater_equal(successes, 0) & np.less_equal(successes, total)):
+        raise ValueError("successes must lie in [0, total]")
+    p = np.divide(successes, total)
     z2 = _WILSON_Z * _WILSON_Z
     denom = 1.0 + z2 / total
     center = (p + z2 / (2.0 * total)) / denom
-    half = _WILSON_Z * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
+    half = _WILSON_Z * np.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
     # the interval contains the point estimate analytically; enforce it
     # against the last-ulp rounding at p = 0 and p = 1
-    low = min(max(0.0, center - half), p)
-    high = max(min(1.0, center + half), p)
+    low = np.minimum(np.maximum(0.0, center - half), p)
+    high = np.maximum(np.minimum(1.0, center + half), p)
     return low, high
 
 
@@ -423,12 +422,11 @@ def _evaluate_chunk(config: ScenarioConfig, lo: int, hi: int, states=None) -> li
     no per-trial row and no violating value beyond the block's.
     """
     states = states or (config,)
-    edges = _histogram_edges(config)
-    points = _eta_points(config)
+    thresholds = _thresholds(config)
     # a chunk's I counts fit int32, which halves what a worker sends
     parts = [_Partial.empty(config, np.int32) for _ in states]
     for _, k, i_max, eta, spare in _block_winners(config, lo, hi, states):
-        parts[k].add_block(i_max, eta, edges, points, spare)
+        parts[k].add_block(i_max, eta, thresholds, spare)
     return parts
 
 
@@ -569,8 +567,8 @@ def _min_eta_runs(rows, settings_per_party: int):
 
 def run_trial(config: ScenarioConfig, trial_index: int) -> TrialOutcome:
     """Outcome of one trial; a pure function of (config, trial_index)."""
-    if not (0 <= trial_index):
-        raise ValueError("trial_index must be non-negative")
+    if not 0 <= trial_index < 1 << 64:
+        raise ValueError("trial_index must lie in [0, 2**64)")
     [[i_max]], [[eta]] = _trial_rows(config, trial_index, trial_index + 1)
     violated = bool(i_max > 0.0)
     return TrialOutcome(
@@ -590,9 +588,14 @@ def _histogram_edges(config: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.6, 1.0, config.histogram_bins + 1)
 
 
-def _eta_points(config: ScenarioConfig) -> np.ndarray:
-    """The curve grid, then NAMED_ETAS."""
-    return np.concatenate([config.eta_grid_points(), NAMED_ETAS])
+def _thresholds(config: ScenarioConfig) -> np.ndarray:
+    """What `_Partial.at_most` counts eta_req up to: each histogram edge but
+    the last less one ulp, so that eta_req <= it counts eta_req < the edge;
+    the last edge, which np.histogram's last bin includes; the curve grid;
+    NAMED_ETAS."""
+    edges = _histogram_edges(config)
+    return np.concatenate([np.nextafter(edges[:-1], -np.inf), edges[-1:],
+                           config.eta_grid_points(), NAMED_ETAS])
 
 
 def _chunk_partial(config: ScenarioConfig, lo: int, hi: int, states) -> list[_Partial]:
@@ -618,16 +621,16 @@ def _collect_chunks(config: ScenarioConfig, progress=None, states=None):
     default config alone.
 
     `states` share config's trial streams and differ from it in alpha_ratio
-    and visibility only.  Chunks are consumed in grid order, in this
-    process for one worker and otherwise from a process pool, which holds
-    at most 4 chunks per worker submitted and not yet taken.  Each state's
-    partial is merged as it arrives into that state's total, which starts
-    as the empty partial, so peak memory is one total per state plus the
-    chunks in flight, whatever the trial count.  Progress and abort
-    counts are trials times states.  A trial error in any state, a dead
-    worker process or an interrupt aborts the whole run with the count of
-    trials completed, in order, before it; any exception cancels the
-    pending chunks.
+    and visibility only.  Chunks are consumed in grid order, in this process
+    for one worker or one chunk and otherwise from a process pool of no more
+    workers than chunks, which holds at most 4 chunks per worker submitted
+    and not yet taken.  Each state's partial is merged as it arrives into
+    that state's total, which starts as the empty partial, so peak memory is
+    one total per state plus the chunks in flight, whatever the trial count.
+    Progress and abort counts are trials times states.  A trial error in any
+    state, a dead worker process or an interrupt aborts the whole run with
+    the count of trials completed, in order, before it; any exception
+    cancels the pending chunks.
     """
     states = states or (config,)
     total = len(states) * config.trials
@@ -639,14 +642,15 @@ def _collect_chunks(config: ScenarioConfig, progress=None, states=None):
         with ExitStack() as stack:
             tasks = ((config, lo, hi, states) for lo, hi in _chunk_grid(config.trials))
             parts = starmap(_chunk_partial, tasks)
-            if config.workers > 1 and config.trials > CHUNK_TRIALS:
+            # a pool starts all its workers at its first task: no more than the chunks
+            workers = min(config.workers, -(-config.trials // CHUNK_TRIALS))
+            if workers > 1:
                 # an interrupt is the parent's to handle: it cancels the
                 # pending chunks, and the workers finish the running ones
-                pool = ProcessPoolExecutor(max_workers=config.workers,
-                                           initializer=signal.signal,
+                pool = ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
                                            initargs=(signal.SIGINT, signal.SIG_IGN))
                 stack.callback(pool.shutdown, cancel_futures=True)
-                parts = _in_order(pool, _chunk_partial, tasks, 4 * config.workers)
+                parts = _in_order(pool, _chunk_partial, tasks, 4 * workers)
             for _, hi in _chunk_grid(config.trials):
                 # taken inside the merge, so no name holds a chunk's partials
                 # while the next one is made
@@ -693,27 +697,20 @@ def _result(config: ScenarioConfig, total: _Partial, started: float) -> Experime
     if n_viol and (total.eta_min < 0.6 or total.eta_max >= 1.0):
         raise NumericalConsistencyError("required efficiency outside [0.6, 1)")
 
-    histogram = EfficiencyHistogram(
-        bin_edges=_histogram_edges(config),
-        counts=np.diff(total.below_edges),
-        total_trials=config.trials,
-        violating_trials=n_viol,
-    )
+    edges = _histogram_edges(config)
+    histogram = EfficiencyHistogram(bin_edges=edges, counts=np.diff(total.at_most[:len(edges)]),
+                                    total_trials=config.trials, violating_trials=n_viol)
 
-    grid = config.eta_grid_points()
-    cum, named_cum = np.split(total.at_most, [len(grid)])
+    # the curve grid's counts, then the named etas'
+    cum = total.at_most[len(edges):]
     p_viol = cum / config.trials
-    ci = np.array([wilson_interval(int(k), config.trials) for k in cum])
-    curve = ViolationCurve(
-        etas=grid, p_viol=p_viol, ci_low=ci[:, 0], ci_high=ci[:, 1]
-    )
-
-    named_p = {}
-    named_ci = {}
-    for point, k in zip(NAMED_ETAS, named_cum.tolist()):
-        named_p[f"{point:g}"] = k / config.trials
-        lo_ci, hi_ci = wilson_interval(k, config.trials)
-        named_ci[f"{point:g}"] = [lo_ci, hi_ci]
+    ci_low, ci_high = wilson_interval(cum, config.trials)
+    grid = config.eta_grid_points()
+    n = len(grid)
+    curve = ViolationCurve(etas=grid, p_viol=p_viol[:n], ci_low=ci_low[:n], ci_high=ci_high[:n])
+    named = [f"{point:g}" for point in NAMED_ETAS]
+    named_p = dict(zip(named, p_viol[n:].tolist()))
+    named_ci = dict(zip(named, np.stack([ci_low[n:], ci_high[n:]], axis=1).tolist()))
 
     if n_viol:
         median, median_bound = _median_estimate(total)

@@ -51,7 +51,8 @@ def uniform_block(master_seed: int, lo: int, hi: int, out=None) -> np.ndarray:
     """Uniform [0, 1) draws of trials [lo, hi), shape (hi - lo, 8), written
     to `out` if given.
 
-    Row i is exactly the stream RandomSource(master_seed, lo + i) draws from.
+    Row i is exactly the stream RandomSource(master_seed, lo + i) draws from,
+    for 0 <= lo <= hi <= 2**64: RandomSource reduces an index mod 2**64.
     """
     # np.random is reached here rather than at import: processes that never
     # draw (the pool parent) stay smaller and start faster.

@@ -6,6 +6,7 @@ import json
 import math
 import time
 import tracemalloc
+from concurrent.futures import Future
 from dataclasses import fields, replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from randbell import (
 from randbell.chsh import form_coefficients
 from randbell.cli import _exact_settings
 from randbell.montecarlo import ExperimentAborted, _evaluate_chunk, _trial_rows
-from randbell.sampling import uniform_block
+from randbell.sampling import RandomSource, uniform_block
 
 
 def _exact_trial(config, trial_index):
@@ -250,6 +251,24 @@ class TestRunTrial:
     def test_negative_index(self):
         with pytest.raises(ValueError):
             run_trial(ScenarioConfig(scenario="rim"), -1)
+
+    def test_index_below_2_to_the_64(self):
+        # RandomSource reduces a trial index mod 2**64 and the block kernel
+        # does not, so past that range the kernel's row is no trial's
+        config = ScenarioConfig(scenario="rom", alpha_ratio=0.7, master_seed=7)
+        past = (1 << 64) + 5
+        assert (uniform_block(7, past, past + 1)[0] != RandomSource(7, past).uniform(8)).any()
+        with pytest.raises(ValueError):
+            run_trial(config, 1 << 64)
+        last = (1 << 64) - 1
+        fast = run_trial(config, last)
+        exact = _exact_trial(config, last)
+        assert abs(fast.i_max - exact.i_value) < 1e-12
+        assert fast.violated == (exact.eta_req is not None)
+        if fast.violated:
+            assert abs(fast.eta_req - exact.eta_req) < 1e-10
+        np.testing.assert_array_equal(uniform_block(7, last, last + 1)[0],
+                                      RandomSource(7, last).uniform(8))
 
 
 @pytest.fixture(scope="module")
@@ -614,11 +633,11 @@ class TestWorkerIndependence:
         (got,) = mc._collect_chunks(config)
         assert got.violating == violated.sum() > 0
         edges = np.linspace(0.6, 1.0, config.histogram_bins + 1)
-        np.testing.assert_array_equal(np.diff(got.below_edges),
-                                      np.histogram(eta, bins=edges)[0])
-        assert got.below_edges[0] == 0
+        below_edges, at_points = np.split(got.at_most, [len(edges)])
+        np.testing.assert_array_equal(np.diff(below_edges), np.histogram(eta, bins=edges)[0])
+        assert below_edges[0] == 0
         points = np.concatenate([config.eta_grid_points(), mc.NAMED_ETAS])
-        np.testing.assert_array_equal(got.at_most, [(eta <= p).sum() for p in points])
+        np.testing.assert_array_equal(at_points, [(eta <= p).sum() for p in points])
         i_edges = np.arange(mc._I_BINS + 1) / mc._I_SCALE
         np.testing.assert_array_equal(got.i_counts, np.histogram(i_max, bins=i_edges)[0])
         # a chunk sends its I counts as int32, and the merged total widens them
@@ -626,6 +645,35 @@ class TestWorkerIndependence:
         assert got.i_counts.dtype == np.int64
         assert got.i_sum == sum(chunk_sums)
         assert (got.i_top, got.eta_min, got.eta_max) == (i_max.max(), eta.min(), eta.max())
+
+    def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
+        # a fork pool starts all its workers at its first submit, so a run
+        # asks for no more than its chunks; a fake pool records the ask and
+        # runs each task inline, starting no process
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers, **_):
+                asked.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", InlinePool)
+        config = ScenarioConfig(scenario="rom", alpha_ratio=0.7, trials=2 * mc.CHUNK_TRIALS + 7,
+                                master_seed=12, workers=64)
+        wide = run_experiment(config)
+        assert asked == [3]
+        _assert_same_tables(wide, run_experiment(replace(config, workers=1)))
+        assert wide.summary["config"]["workers"] == wide.summary["manifest"]["workers"] == 64
+        # over one chunk no pool is made
+        run_experiment(replace(config, trials=mc.CHUNK_TRIALS))
+        assert asked == [3]
 
     def test_chunk_grid_fixed(self):
         grid = list(mc._chunk_grid(200_000))
@@ -654,30 +702,44 @@ class TestPartials:
         w = 1.0 / mc._I_SCALE
         counts = np.zeros(mc._I_BINS, dtype=np.intp)
         counts[[3, 7]] = 1
-        total = mc._Partial(violating=2, below_edges=None, at_most=None, i_counts=counts,
+        total = mc._Partial(violating=2, at_most=None, i_counts=counts,
                             i_sum=0.0, i_top=7.5 * w, eta_min=0.7, eta_max=0.8)
         # the middle values lie in [3w, 4w) and [7w, 7.5w]
         assert mc._median_estimate(total) == (5.25 * w, 2.25 * w)
 
+    @pytest.mark.parametrize("eta_min,eta_max", [(0.7, 1.0), (np.nextafter(0.6, 0), 0.8)])
+    def test_result_refuses_eta_req_outside_its_range(self, eta_min, eta_max):
+        config = ScenarioConfig(scenario="rim")
+        total = replace(mc._Partial.empty(config, np.int64), violating=1, eta_min=eta_min,
+                        eta_max=eta_max)
+        with pytest.raises(NumericalConsistencyError,
+                           match=r"^required efficiency outside \[0\.6, 1\)$"):
+            mc._result(config, total, 0.0)
+
     def test_block_counts_ties_as_numpy_does(self):
         # eta_req on a histogram edge or a curve point and I on a bin edge
-        # count as np.histogram and <= count them, trials with I <= 0 (eta_req
+        # count as np.histogram and <= count them, eta_req one ulp below an
+        # inner edge falls in the bin below it, trials with I <= 0 (eta_req
         # NaN) are skipped, and I is summed by numpy, which here differs
         # from the exactly rounded sum
         config = ScenarioConfig(scenario="rim")
-        edges, points = mc._histogram_edges(config), mc._eta_points(config)
+        edges = mc._histogram_edges(config)
+        points = np.concatenate([config.eta_grid_points(), mc.NAMED_ETAS])
         w = 1.0 / mc._I_SCALE
-        i_max = np.array([0.2, 3 * w, w, 0.1, 0.0, -0.1] + [1e-17] * 12)
-        eta = np.array([edges[1], edges[0], edges[-1], points[7], np.nan, np.nan]
-                       + [0.9123] * 12)
+        i_max = np.array([0.2, 3 * w, w, 0.1, 0.0, -0.1, 0.05] + [1e-17] * 12)
+        eta = np.array([edges[1], edges[0], edges[-1], points[7], np.nan, np.nan,
+                        np.nextafter(edges[50], 0)] + [0.9123] * 12)
         part = mc._Partial.empty(config, np.int32)
-        part.add_block(i_max, eta, edges, points, np.empty((3, len(eta))))
+        part.add_block(i_max, eta, mc._thresholds(config), np.empty((3, len(eta))))
         violated = i_max > 0.0
         i_max, eta = i_max[violated], eta[violated]
-        assert part.violating == len(eta) == 16
-        assert part.below_edges[0] == 0
-        np.testing.assert_array_equal(np.diff(part.below_edges), np.histogram(eta, bins=edges)[0])
-        np.testing.assert_array_equal(part.at_most, [(eta <= p).sum() for p in points])
+        assert part.violating == len(eta) == 17
+        below_edges, at_points = np.split(part.at_most, [len(edges)])
+        assert below_edges[0] == 0
+        np.testing.assert_array_equal(np.diff(below_edges), np.histogram(eta, bins=edges)[0])
+        # the value one ulp below edges[50] is alone in the bin below it
+        assert np.histogram(eta[4:5], bins=edges)[0][49] == np.diff(below_edges)[49] == 1
+        np.testing.assert_array_equal(at_points, [(eta <= p).sum() for p in points])
         i_edges = np.arange(mc._I_BINS + 1) / mc._I_SCALE
         np.testing.assert_array_equal(part.i_counts, np.histogram(i_max, bins=i_edges)[0])
         assert part.i_sum == float(i_max.sum()) != math.fsum(i_max)
@@ -738,7 +800,7 @@ class TestPartials:
         assert part.violating > 0.9 * mc.CHUNK_TRIALS
         assert peak < 1 << 20
         (few,) = mc._chunk_partial(config, 0, 100, (config,))
-        arrays = (part.below_edges, part.at_most, part.i_counts)
+        arrays = (part.at_most, part.i_counts)
         assert part.nbytes == few.nbytes == sum(a.nbytes for a in arrays) + 5 * 8
 
     def test_chunk_memory_grows_little_per_state(self):
@@ -797,7 +859,8 @@ class TestWorkspace:
         results = []
         for states in ([rim], [rotm], rom, [short], [rim]):
             base = states[0]
-            edges, points = mc._histogram_edges(base), mc._eta_points(base)
+            edges = mc._histogram_edges(base)
+            points = np.concatenate([base.eta_grid_points(), mc.NAMED_ETAS])
             for lo, hi in mc._chunk_grid(base.trials):
                 # each block's reduction against numpy's on the chunk's trial rows
                 partials = mc._chunk_partial(base, lo, hi, states)
@@ -806,10 +869,11 @@ class TestWorkspace:
                     violated = i_max > 0.0
                     i_max, eta = i_max[violated], np.sort(eta[violated])
                     assert got.violating == len(eta)
-                    np.testing.assert_array_equal(np.diff(got.below_edges),
+                    below_edges, at_points = np.split(got.at_most, [len(edges)])
+                    np.testing.assert_array_equal(np.diff(below_edges),
                                                   np.histogram(eta, bins=edges)[0])
-                    assert got.below_edges[0] == (eta < edges[0]).sum()
-                    np.testing.assert_array_equal(got.at_most, [(eta <= p).sum() for p in points])
+                    assert below_edges[0] == (eta < edges[0]).sum()
+                    np.testing.assert_array_equal(at_points, [(eta <= p).sum() for p in points])
                     bins = np.minimum(np.floor(i_max * mc._I_SCALE).astype(int), mc._I_BINS - 1)
                     np.testing.assert_array_equal(got.i_counts,
                                                   np.bincount(bins, minlength=mc._I_BINS))
@@ -818,7 +882,7 @@ class TestWorkspace:
                         assert (got.i_top, got.eta_min, got.eta_max) == (i_max.max(), eta[0],
                                                                          eta[-1])
                     # the partial's arrays are its own, not views of the workspace
-                    for a in (got.below_edges, got.at_most, got.i_counts):
+                    for a in (got.at_most, got.i_counts):
                         assert not any(np.shares_memory(a, b) for b in buffers)
             results.append(sweep(states))
         first, last = results[0][0], results[-1][0]
@@ -837,9 +901,8 @@ class TestWorkspace:
             assert not any(np.shares_memory(a, b) for b in held[k + 1:] + buffers)
         # and so are two partials of one chunk
         first, second = mc._evaluate_chunk(rotm, 0, 1000, [rotm, replace(rotm, alpha_ratio=1.0)])
-        for a in (first.below_edges, first.at_most, first.i_counts):
-            assert not any(np.shares_memory(a, b)
-                           for b in (second.below_edges, second.at_most, second.i_counts))
+        for a in (first.at_most, first.i_counts):
+            assert not any(np.shares_memory(a, b) for b in (second.at_most, second.i_counts))
 
 
 class TestScalingSanity:
@@ -1041,3 +1104,32 @@ class TestWilson:
     def test_bad_total(self):
         with pytest.raises(ValueError):
             wilson_interval(1, 0)
+        with pytest.raises(ValueError):
+            wilson_interval(np.arange(3), -2)
+
+    @pytest.mark.parametrize("successes", [-1, 8, np.nan, np.array([0, 3, 8]), np.array([-1, 0])])
+    def test_successes_outside_the_total(self, successes):
+        with pytest.raises(ValueError, match="successes"):
+            wilson_interval(successes, 7)
+
+    @pytest.mark.parametrize("n", [1, 7, 4_000_000])
+    def test_arrays_equal_scalar_calls(self, n):
+        # elementwise over an array, bit for bit the scalar calls and the
+        # scalar formula in `math`
+        k = np.arange(n + 1) if n < 100 else np.unique(np.concatenate(
+            [np.arange(50), n - np.arange(50),
+             np.random.default_rng(n).integers(0, n + 1, 500)]))
+        low, high = wilson_interval(k, n)
+        got = np.stack([low, high], axis=1).tobytes()
+        assert got == np.array([wilson_interval(j, n) for j in k.tolist()]).tobytes()
+        assert got == np.array([_wilson_formula(j, n) for j in k.tolist()]).tobytes()
+
+
+def _wilson_formula(successes, total):
+    """The Wilson interval of one count, in Python floats."""
+    p = successes / total
+    z2 = mc._WILSON_Z * mc._WILSON_Z
+    denom = 1.0 + z2 / total
+    center = (p + z2 / (2.0 * total)) / denom
+    half = mc._WILSON_Z * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
+    return min(max(0.0, center - half), p), max(min(1.0, center + half), p)
