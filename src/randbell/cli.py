@@ -65,73 +65,49 @@ def _table_config(config: ScenarioConfig) -> dict:
     return doc
 
 
-def _config_comment(config: ScenarioConfig) -> str:
-    return "# config: " + json.dumps(_table_config(config), sort_keys=True)
-
-
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
-def _histogram_csv(result: ExperimentResult) -> str:
-    h = result.histogram
-    lines = [_config_comment(result.config), "bin_low,bin_high,count"]
-    for low, high, count in zip(h.bin_edges[:-1], h.bin_edges[1:], h.counts):
-        lines.append(f"{_fmt(low)},{_fmt(high)},{int(count)}")
-    return "\n".join(lines) + "\n"
+def _csv_text(first_line: str, header: str, rows: list[str]) -> str:
+    return "\n".join([first_line, header, *rows]) + "\n"
 
 
-def _curve_rows(result: ExperimentResult) -> list[str]:
-    c = result.curve
-    return [f"{_fmt(eta)},{_fmt(p)},{_fmt(lo)},{_fmt(hi)}"
-            for eta, p, lo, hi in zip(c.etas, c.p_viol, c.ci_low, c.ci_high)]
-
-
-def _curve_csv(result: ExperimentResult, rows: list[str]) -> str:
-    """curve.csv of result, given its `_curve_rows`."""
-    lines = [_config_comment(result.config), "eta,p_viol,ci_low,ci_high", *rows]
-    return "\n".join(lines) + "\n"
-
-
-def _histogram_json(result: ExperimentResult) -> str:
-    h = result.histogram
-    doc = {
-        "config": _table_config(result.config),
-        "bin_edges": h.bin_edges.tolist(),
-        "counts": h.counts.tolist(),
-        "total_trials": h.total_trials,
-        "violating_trials": h.violating_trials,
+def _tables(result: ExperimentResult) -> dict:
+    """name: (CSV header, CSV rows, JSON fields after the config, arrays left
+    for the dump to list) of each of result's tables: histogram, then curve."""
+    h, c = result.histogram, result.curve
+    return {
+        "histogram": (
+            "bin_low,bin_high,count",
+            [f"{_fmt(low)},{_fmt(high)},{int(count)}"
+             for low, high, count in zip(h.bin_edges[:-1], h.bin_edges[1:], h.counts)],
+            {"bin_edges": h.bin_edges, "counts": h.counts,
+             "total_trials": h.total_trials, "violating_trials": h.violating_trials}),
+        "curve": (
+            "eta,p_viol,ci_low,ci_high",
+            [",".join(map(_fmt, point))
+             for point in zip(c.etas, c.p_viol, c.ci_low, c.ci_high)],
+            {"eta": c.etas, "p_viol": c.p_viol, "ci_low": c.ci_low, "ci_high": c.ci_high}),
     }
-    return json.dumps(doc, indent=2) + "\n"
 
 
-def _curve_json(result: ExperimentResult) -> str:
-    c = result.curve
-    doc = {
-        "config": _table_config(result.config),
-        "eta": c.etas.tolist(),
-        "p_viol": c.p_viol.tolist(),
-        "ci_low": c.ci_low.tolist(),
-        "ci_high": c.ci_high.tolist(),
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _emit_result(result: ExperimentResult, out_dir: str, fmt: str,
-                 curve_rows: list[str]) -> None:
-    """Write result's tables and summary, given its `_curve_rows`."""
+def _emit_result(result: ExperimentResult, tables: dict, out_dir: str, fmt: str) -> None:
+    """Write result's `_tables` in fmt, then its summary."""
     os.makedirs(out_dir, exist_ok=True)
+    config = _table_config(result.config)
     if fmt in ("csv", "both"):
-        _write_text(os.path.join(out_dir, "histogram.csv"), _histogram_csv(result))
-        _write_text(os.path.join(out_dir, "curve.csv"), _curve_csv(result, curve_rows))
+        line = "# config: " + json.dumps(config, sort_keys=True)
+        for name, (header, rows, _) in tables.items():
+            _write_text(os.path.join(out_dir, f"{name}.csv"), _csv_text(line, header, rows))
     if fmt in ("json", "both"):
-        _write_text(os.path.join(out_dir, "histogram.json"), _histogram_json(result))
-        _write_text(os.path.join(out_dir, "curve.json"), _curve_json(result))
-    _write_text(
-        os.path.join(out_dir, "summary.json"),
-        json.dumps(result.summary, indent=2) + "\n",
-    )
+        for name, (_, _, fields) in tables.items():
+            _write_text(os.path.join(out_dir, f"{name}.json"),
+                        json.dumps({"config": config, **fields}, indent=2,
+                                   default=np.ndarray.tolist) + "\n")
+    _write_text(os.path.join(out_dir, "summary.json"),
+                json.dumps(result.summary, indent=2) + "\n")
 
 
 @contextlib.contextmanager
@@ -194,7 +170,7 @@ def cmd_run(args) -> int:
     config = _config_from_args(args, args.alpha_ratio)
     with _progress_printer() as progress:
         result = run_experiment(config, progress=progress)
-    _emit_result(result, args.out_dir, args.format, _curve_rows(result))
+    _emit_result(result, _tables(result), args.out_dir, args.format)
     print(json.dumps(result.summary, indent=2))
     return EXIT_OK
 
@@ -210,18 +186,18 @@ def cmd_sweep(args) -> int:
     doc = _table_config(results[0].config)
     del doc["alpha_ratio"]
     doc["alpha_ratios"] = [v for _, v in ratios]
-    combined = ["# sweep: " + json.dumps(doc, sort_keys=True),
-                "alpha_ratio,eta,p_viol,ci_low,ci_high"]
+    combined = []
     summaries = []
     for (token, _value), result in zip(ratios, results):
         sub = os.path.join(args.out_dir, f"{args.scenario}_ratio_{token}")
-        rows = _curve_rows(result)
-        _emit_result(result, sub, args.format, rows)
+        tables = _tables(result)
+        _emit_result(result, tables, sub, args.format)
         summaries.append(result.summary)
         ratio = _fmt(result.config.alpha_ratio)
-        combined.extend(f"{ratio},{row}" for row in rows)
+        combined.extend(f"{ratio},{row}" for row in tables["curve"][1])
     _write_text(os.path.join(args.out_dir, "combined_curves.csv"),
-                "\n".join(combined) + "\n")
+                _csv_text("# sweep: " + json.dumps(doc, sort_keys=True),
+                          "alpha_ratio,eta,p_viol,ci_low,ci_high", combined))
     print(json.dumps(summaries, indent=2))
     return EXIT_OK
 

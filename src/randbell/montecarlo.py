@@ -137,6 +137,8 @@ class ScenarioConfig:
         NoisyState.from_ratio(self.alpha_ratio, self.visibility)  # ValueError if it cannot be made
         if int(self.trials) <= 0:
             raise ValueError("trials must be positive")
+        if int(self.trials) > 2**64:  # the trial streams' index range
+            raise ValueError("trials must be at most 2**64")
         if int(self.histogram_bins) <= 0:
             raise ValueError("histogram_bins must be positive")
         start, stop, step = self.eta_grid
@@ -339,14 +341,14 @@ def _workspace(settings_per_party: int):
 
     The (B, 8) uniforms live until the settings map has read them, and
     their memory then holds the form stage's `_FORM_ROWS` rows, the first
-    three of them then a state's violating values.  The pool's
-    rows are the map's scratch, and then the products z_a z_b, one state's
-    rows and two rows of bytes for the finite check.  A shorter block takes
-    views of the first columns.  One block loop at a time may use them.
+    three of them then a state's violating values.  The pool's rows are the
+    map's scratch, and then the products z_a z_b and one state's rows; in
+    all 1,900,544 B at two settings and 3,080,192 B at three.  A shorter
+    block takes views of the first columns.  One block loop at a time may use them.
     """
     s = settings_per_party
     coords = s * s + 2 * s
-    pool = max(sampling.SCRATCH_ROWS, s * s + coords + 2)
+    pool = max(sampling.SCRATCH_ROWS, s * s + coords)
     rows = np.empty((8 + coords + pool, _BLOCK_TRIALS))
     return rows[:8].reshape(_BLOCK_TRIALS, 8), rows[8:8 + coords], rows[8 + coords:]
 
@@ -396,13 +398,15 @@ def _block_winners(config: ScenarioConfig, lo: int, hi: int, states):
         # the uniforms and the map's scratch are spent
         form_rows = uniforms.reshape(8, _BLOCK_TRIALS)[:, :n]
         z_products, own = pool[:s * s, :n], pool[s * s:s * s + len(rows), :n]
-        flags = pool[-2:].view(bool).reshape(16, -1)[:len(rows) + 1, :n]
         z_a, z_b = rows[s * s:s * s + s], rows[s * s + s:]
         np.multiply(z_a[:, None], z_b[None], out=z_products.reshape(s, s, n))
         for k, state in enumerate(noisy):
             state_rows = _state_rows(state, s, rows, z_products, own)
-            finite = np.isfinite(state_rows, out=flags[:-1]).all(axis=0, out=flags[-1])
-            if not finite.all():
+            # the values are bounded, so their sum is finite exactly when they are
+            with np.errstate(invalid="ignore"):  # an inf and a -inf sum to NaN
+                total = state_rows.sum()
+            if not math.isfinite(total):
+                finite = np.isfinite(state_rows).all(axis=0)
                 bad = start + int(np.flatnonzero(~finite)[0])
                 where = "" if len(states) == 1 else (
                     f" (alpha_ratio {states[k].alpha_ratio:g},"

@@ -90,6 +90,21 @@ class TestRun:
         assert _run(["run", "--scenario", "rim", "--trials", "0"]) == 1
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,ratio_flag", [("run", "--alpha-ratio"),
+                                                    ("sweep", "--alpha-ratios")])
+    def test_trials_past_2_to_the_64(self, tmp_path, monkeypatch, capsys, command,
+                                     ratio_flag):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_experiment", no_work)
+        monkeypatch.setattr(cli, "sweep", no_work)
+        out = tmp_path / "out"
+        assert _run([command, "--scenario", "rim", ratio_flag, "0.5",
+                     "--trials", str(2**64 + 1), "--out-dir", str(out)]) == 1
+        assert "trials must be at most 2**64" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_scenario(self, capsys):
         assert _run(["run", "--scenario", "xyz"]) == 1
 
@@ -286,6 +301,51 @@ class TestOutputDigests:
                      "--seed", "7", "--workers", "1", "--out-dir", str(tmp_path)]) == 0
         for name, digest in (("histogram.csv", histogram), ("curve.csv", curve)):
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+class TestJsonAndSweepDigests:
+    """The JSON tables and a sweep's combined_curves.csv, pinned by SHA-256
+    as TestOutputDigests pins the CSV tables."""
+
+    def test_json_tables_match_pinned_digests(self, tmp_path):
+        assert _run(["run", "--scenario", "rom", "--alpha-ratio", "0.5",
+                     "--selection", "min-eta", "--format", "json", "--trials", "131079",
+                     "--seed", "7", "--workers", "1", "--out-dir", str(tmp_path)]) == 0
+        assert not list(tmp_path.glob("*.csv"))
+        for name, digest in (
+                ("histogram.json",
+                 "6099f57de61abd45290d5ed6616a3c50ffedd8f60e803eef730259cf4e834d44"),
+                ("curve.json",
+                 "a5abcb735a91233ddcf6a3055a07aeea37d1d6925cace11d80f284a5408a3386")):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    def test_combined_curves_match_pinned_digest(self, tmp_path):
+        assert _run(["sweep", "--scenario", "rim", "--alpha-ratios", "0.5,1.0",
+                     "--bins", "37", "--eta-grid", "0.61:0.99:0.0007", "--trials", "131079",
+                     "--seed", "7", "--workers", "1", "--out-dir", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "combined_curves.csv").read_bytes()).hexdigest()
+        assert digest == "12527a3cc08b482ce63214770f7a4ab59a7aecd7b6475a498464be7a76eb8263"
+
+
+class TestIOFailure:
+    """main's OSError branch: exit code 3 and a one-line message."""
+
+    def test_run_into_a_path_under_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert _run(BASE + ["--out-dir", str(blocker / "x")]) == 3
+        err = capsys.readouterr().err
+        assert "I/O failure: [Errno 20] Not a directory" in err
+        assert "Traceback" not in err
+
+    def test_sweep_over_a_file_named_as_an_entry(self, tmp_path, capsys):
+        (tmp_path / "rim_ratio_0.5").write_text("")
+        assert _run(["sweep", "--scenario", "rim", "--alpha-ratios", "0.5",
+                     "--trials", "1000", "--seed", "1", "--workers", "1",
+                     "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "I/O failure: [Errno 17] File exists" in err
+        assert "Traceback" not in err
 
 
 class TestVerify:

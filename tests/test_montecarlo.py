@@ -171,6 +171,14 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(**kwargs)
 
+    def test_trials_within_the_stream_index_range(self):
+        # uniform_block serves trial indices below 2**64 only
+        assert ScenarioConfig(scenario="rim", trials=2**64).trials == 2**64
+        with pytest.raises(ValueError, match=r"trials must be at most 2\*\*64"):
+            ScenarioConfig(scenario="rim", trials=2**64 + 1)
+        with pytest.raises(ValueError, match="trials must be positive"):
+            ScenarioConfig(scenario="rim", trials=-(2**64))
+
 
 class TestRunTrial:
     def test_bitwise_determinism(self):
@@ -474,6 +482,34 @@ class TestChunkKernel:
         with pytest.raises(NumericalConsistencyError) as info:
             run_trial(ScenarioConfig(scenario="rom", master_seed=3), 7)
         assert str(info.value) == "non-finite probability at trial 7"
+
+    def test_nan_marginal_names_its_trial(self, monkeypatch):
+        original = quantum.marginal_outcome0
+
+        def poisoned(state, z, party, out=None):
+            p = original(state, z, party, out=out)
+            if party == "B":
+                p[1, 9] = np.nan
+            return p
+
+        monkeypatch.setattr(quantum, "marginal_outcome0", poisoned)
+        with pytest.raises(NumericalConsistencyError) as info:
+            _evaluate_chunk(ScenarioConfig(scenario="rim", master_seed=3), 200, 300)
+        assert str(info.value) == "non-finite probability at trial 209"
+
+    def test_opposite_infinities_name_their_trial(self, monkeypatch):
+        # their sum is NaN, and numpy warns of it; the check must not
+        original = quantum.doubled_correlator
+
+        def poisoned(state, inplane, z_product, out=None):
+            d = original(state, inplane, z_product, out=out)
+            d[0, 4], d[2, 4] = np.inf, -np.inf
+            return d
+
+        monkeypatch.setattr(quantum, "doubled_correlator", poisoned)
+        with pytest.raises(NumericalConsistencyError) as info:
+            _evaluate_chunk(ScenarioConfig(scenario="rotm", master_seed=3), 50, 90)
+        assert str(info.value) == "non-finite probability at trial 54"
 
 
 class TestFormTables:
