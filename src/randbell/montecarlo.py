@@ -23,8 +23,14 @@ chunk returns a partial per state.  A run is the one-state set, so a
 sweep's result for a state equals a run on that state.  Every block writes
 into one workspace of block-sized rows per process (`_workspace`) and is
 added into each state's partial as it ends, so a chunk allocates no
-per-trial row; single trials and checks read fresh per-trial rows from the
-same block loop (`_trial_rows`).
+per-trial row; every state but the block's last writes its rows to one
+reused buffer, and the last writes them over the coordinate rows, which no
+later state reads, so a run writes no state row to that buffer.  Single
+trials and checks read fresh per-trial rows from the same block loop
+(`_trial_rows`).
+Chunks run in this process, or in a process pool for more than one worker
+and chunk; the pool stack (multiprocessing, sockets, logging) is imported
+only where a pool starts, so a run that starts none never loads it.
 
 The per-trial evaluation is vectorized over a block of a chunk's trials,
 the blocks taken in order so that a block's rows stay cache-resident, and
@@ -55,8 +61,6 @@ import platform
 import signal
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, partial
@@ -100,6 +104,10 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 _WILSON_Z = 1.959963984540054  # 97.5th normal percentile
 
+# The most histogram bins and curve points a config may ask for: each is a
+# threshold that every chunk counts, and a count in each partial.
+MAX_POINTS = 100_000
+
 # The median of I given violation comes from integer counts on bins of width
 # 2**-16 up to the first edge past the Tsirelson bound, which caps every I,
 # the last bin open above.  Scaling by a power of two is exact, so a value's
@@ -115,6 +123,17 @@ class ExperimentAborted(RuntimeError):
         super().__init__(message)
         self.completed_trials = completed_trials
         self.trials = trials
+
+
+def _whole(name: str, value) -> int:
+    """value as an int; ValueError unless it is a whole number (4e6 is)."""
+    try:
+        whole = int(value)
+    except (OverflowError, TypeError, ValueError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return whole
 
 
 @dataclass(frozen=True)
@@ -135,23 +154,26 @@ class ScenarioConfig:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         NoisyState.from_ratio(self.alpha_ratio, self.visibility)  # ValueError if it cannot be made
-        if int(self.trials) <= 0:
+        for name in ("trials", "histogram_bins", "workers"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
+        if self.trials <= 0:
             raise ValueError("trials must be positive")
-        if int(self.trials) > 2**64:  # the trial streams' index range
+        if self.trials > 2**64:  # the trial streams' index range
             raise ValueError("trials must be at most 2**64")
-        if int(self.histogram_bins) <= 0:
-            raise ValueError("histogram_bins must be positive")
+        if not 0 < self.histogram_bins <= MAX_POINTS:
+            raise ValueError(f"histogram_bins must lie in [1, {MAX_POINTS}]")
         start, stop, step = self.eta_grid
         if not (start >= 0.6 and stop <= 1.0 and step > 0 and start < stop):
             raise ValueError("eta grid must satisfy 0.6 <= start < stop <= 1.0, step > 0")
+        # eta_grid_points' count, floor(...) + 1, is at most MAX_POINTS, with
+        # no overflow for a step too small to count
+        if not (stop - start) / step + 1e-9 < MAX_POINTS:
+            raise ValueError(f"eta grid must have at most {MAX_POINTS} points")
         if self.selection_policy not in ("max-i", "min-eta"):
             raise ValueError(f"selection_policy must be 'max-i' or 'min-eta', got {self.selection_policy!r}")
-        if int(self.workers) <= 0:
+        if self.workers <= 0:
             raise ValueError("workers must be positive")
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "histogram_bins", int(self.histogram_bins))
         object.__setattr__(self, "master_seed", int(self.master_seed) & _MASK64)
-        object.__setattr__(self, "workers", int(self.workers))
 
     @property
     def state(self) -> NoisyState:
@@ -342,9 +364,13 @@ def _workspace(settings_per_party: int):
     The (B, 8) uniforms live until the settings map has read them, and
     their memory then holds the form stage's `_FORM_ROWS` rows, the first
     three of them then a state's violating values.  The pool's rows are the
-    map's scratch, and then the products z_a z_b and one state's rows; in
-    all 1,900,544 B at two settings and 3,080,192 B at three.  A shorter
-    block takes views of the first columns.  One block loop at a time may use them.
+    map's scratch, and then the products z_a z_b and the rows of every
+    state but a block's last, which writes its rows over the coordinate
+    rows; in all 1,900,544 B at two settings and 3,080,192 B at three.  A
+    page is resident only once written, so a one-state run holds the rows
+    it touches: 20 for RIM, 36 for ROTM, and all 29 for ROM, whose map's
+    scratch spans the state rows' buffer.  A shorter block takes views of
+    the first columns.  One block loop at a time may use them.
     """
     s = settings_per_party
     coords = s * s + 2 * s
@@ -363,8 +389,9 @@ def _state_rows(state: NoisyState, settings_per_party: int, rows: np.ndarray,
     """One state's rows, written to `out` and returned: D = 2E for each
     setting pair (x, y), then pA0 for each x and pB0 for each y.  They come
     from a block's coordinate rows (in-plane products, z_A, z_B) and its
-    products z_a z_b, one row per (x, y); both are only read, so every state
-    of the block shares them."""
+    products z_a z_b, one row per (x, y), which are only read.  Each row of
+    `out` is written elementwise from the same row of `rows` alone, so `out`
+    may be `rows` itself, when no later state reads them."""
     s = settings_per_party
     quantum.doubled_correlator(state, rows[:s * s], z_products, out=out[:s * s])
     quantum.marginal_outcome0(state, rows[s * s:s * s + s], "A", out=out[s * s:s * s + s])
@@ -382,10 +409,11 @@ def _block_winners(config: ScenarioConfig, lo: int, hi: int, states):
 
     Each block of `_BLOCK_TRIALS` is drawn and mapped to coordinate rows
     once, with the products z_a z_b, and each state writes its correlator
-    and marginal rows from them and runs the forms on them.  Every step is
-    elementwise per trial and the generator is counter-based, so the blocks
-    change no bit and each state's rows are those of a run on that state
-    alone.
+    and marginal rows from them and runs the forms on them: every state but
+    the last into the pool, the last, whose rows no later state reads, over
+    the coordinate rows.  Every step is elementwise per trial and the
+    generator is counter-based, so the blocks change no bit and each
+    state's rows are those of a run on that state alone.
     """
     s = config.settings_per_party
     noisy = [c.state for c in states]
@@ -401,7 +429,9 @@ def _block_winners(config: ScenarioConfig, lo: int, hi: int, states):
         z_a, z_b = rows[s * s:s * s + s], rows[s * s + s:]
         np.multiply(z_a[:, None], z_b[None], out=z_products.reshape(s, s, n))
         for k, state in enumerate(noisy):
-            state_rows = _state_rows(state, s, rows, z_products, own)
+            # the last state writes over the coordinate rows: no later state reads them
+            state_rows = _state_rows(state, s, rows, z_products,
+                                     own if k < len(noisy) - 1 else rows)
             # the values are bounded, so their sum is finite exactly when they are
             with np.errstate(invalid="ignore"):  # an inf and a -inf sum to NaN
                 total = state_rows.sum()
@@ -607,7 +637,17 @@ def _chunk_partial(config: ScenarioConfig, lo: int, hi: int, states) -> list[_Pa
     return _evaluate_chunk(config, lo, hi, states)
 
 
-def _in_order(pool: ProcessPoolExecutor, fn, tasks, window: int):
+def _process_pool(workers: int):
+    """A process pool of `workers` processes that ignore SIGINT: an
+    interrupt is the parent's to handle; it cancels the pending chunks, and
+    the workers finish the running ones."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
+                               initargs=(signal.SIGINT, signal.SIG_IGN))
+
+
+def _in_order(pool, fn, tasks, window: int):
     """fn(*task) for each of `tasks`, in order, from the pool, with at most
     `window` of them submitted and not yet taken; `Executor.map` submits
     every task at once, which holds memory in proportion to their count."""
@@ -642,6 +682,7 @@ def _collect_chunks(config: ScenarioConfig, progress=None, states=None):
     done = 0
     # the totals' I counts may outgrow a chunk's int32
     totals = [_Partial.empty(config, np.int64) for _ in states]
+    aborting = (NumericalConsistencyError,)
     try:
         with ExitStack() as stack:
             tasks = ((config, lo, hi, states) for lo, hi in _chunk_grid(config.trials))
@@ -649,10 +690,11 @@ def _collect_chunks(config: ScenarioConfig, progress=None, states=None):
             # a pool starts all its workers at its first task: no more than the chunks
             workers = min(config.workers, -(-config.trials // CHUNK_TRIALS))
             if workers > 1:
-                # an interrupt is the parent's to handle: it cancels the
-                # pending chunks, and the workers finish the running ones
-                pool = ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
-                                           initargs=(signal.SIGINT, signal.SIG_IGN))
+                # the pool stack is imported here, so a run without a pool never loads it
+                from concurrent.futures.process import BrokenProcessPool
+
+                aborting += (BrokenProcessPool,)  # a dead worker
+                pool = _process_pool(workers)
                 stack.callback(pool.shutdown, cancel_futures=True)
                 parts = _in_order(pool, _chunk_partial, tasks, 4 * workers)
             for _, hi in _chunk_grid(config.trials):
@@ -662,7 +704,7 @@ def _collect_chunks(config: ScenarioConfig, progress=None, states=None):
                 done = len(states) * hi
                 if progress is not None:
                     progress(done, total, time.perf_counter() - started)
-    except (NumericalConsistencyError, BrokenProcessPool) as exc:
+    except aborting as exc:
         raise ExperimentAborted(str(exc), completed_trials=done, trials=total) from exc
     except KeyboardInterrupt as exc:
         raise ExperimentAborted("interrupted", completed_trials=done, trials=total) from exc

@@ -105,6 +105,19 @@ class TestRun:
         assert "trials must be at most 2**64" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--eta-grid", "0.6:1.0:1e-12"], "eta grid must have at most 100000 points"),
+        (["--bins", "10000000000"], "histogram_bins must lie in [1, 100000]"),
+    ])
+    def test_too_many_points(self, monkeypatch, capsys, flags, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_experiment", no_work)
+        assert _run(BASE + flags) == 1
+        err = capsys.readouterr().err
+        assert message in err and "usage:" in err
+
     def test_unknown_scenario(self, capsys):
         assert _run(["run", "--scenario", "xyz"]) == 1
 

@@ -4,6 +4,10 @@ aggregation invariants, and worker-count independence."""
 import itertools
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from concurrent.futures import Future
@@ -32,7 +36,7 @@ from randbell import (
 from randbell.chsh import form_coefficients
 from randbell.cli import _exact_settings
 from randbell.montecarlo import ExperimentAborted, _evaluate_chunk, _trial_rows
-from randbell.sampling import RandomSource, uniform_block
+from randbell.sampling import SCRATCH_ROWS, RandomSource, uniform_block
 
 
 def _exact_trial(config, trial_index):
@@ -166,10 +170,33 @@ class TestScenarioConfig:
         {"scenario": "rim", "workers": 0},
         {"scenario": "rim", "histogram_bins": 0},
         {"scenario": "rim", "alpha_ratio": 1e200},
+        {"scenario": "rim", "trials": 2.7},
+        {"scenario": "rim", "trials": math.inf},
+        {"scenario": "rim", "workers": 1.5},
+        {"scenario": "rim", "histogram_bins": 10.5},
+        {"scenario": "rim", "histogram_bins": mc.MAX_POINTS + 1},
+        {"scenario": "rim", "histogram_bins": 10**10},
+        {"scenario": "rim", "eta_grid": (0.6, 1.0, 1e-12)},
+        {"scenario": "rim", "eta_grid": (0.6, 1.0, 5e-324)},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ScenarioConfig(**kwargs)
+
+    def test_whole_numbers_of_any_type(self):
+        config = ScenarioConfig(scenario="rim", trials=4e6, histogram_bins=np.int64(50),
+                                workers=2.0)
+        assert (config.trials, config.histogram_bins, config.workers) == (4_000_000, 50, 2)
+        assert all(type(v) is int for v in (config.trials, config.histogram_bins, config.workers))
+
+    def test_points_up_to_the_cap(self):
+        # every histogram edge and curve point is a threshold each chunk
+        # counts, so both are capped rather than left to exhaust memory
+        config = ScenarioConfig(scenario="rim", histogram_bins=mc.MAX_POINTS,
+                                eta_grid=(0.6, 1.0, 0.4 / (mc.MAX_POINTS - 1)))
+        assert len(config.eta_grid_points()) == mc.MAX_POINTS
+        with pytest.raises(ValueError, match="at most 100000 points"):
+            replace(config, eta_grid=(0.6, 1.0, 0.4 / mc.MAX_POINTS))
 
     def test_trials_within_the_stream_index_range(self):
         # uniform_block serves trial indices below 2**64 only
@@ -700,7 +727,7 @@ class TestWorkerIndependence:
             def shutdown(self, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(mc, "_process_pool", InlinePool)
         config = ScenarioConfig(scenario="rom", alpha_ratio=0.7, trials=2 * mc.CHUNK_TRIALS + 7,
                                 master_seed=12, workers=64)
         wide = run_experiment(config)
@@ -940,6 +967,29 @@ class TestWorkspace:
         for a in (first.at_most, first.i_counts):
             assert not any(np.shares_memory(a, b) for b in (second.at_most, second.i_counts))
 
+    # the map's scratch spans the pool's first rows: RIM's r, ROTM's
+    # quaternions; ROM's spans the whole state-row buffer
+    @pytest.mark.parametrize("scenario,scratch", [("rim", 4), ("rotm", SCRATCH_ROWS)])
+    def test_only_a_block_with_more_states_writes_the_state_row_buffer(self, scenario,
+                                                                      scratch):
+        # a block's last state writes its rows over the coordinate rows, so
+        # a one-state chunk leaves the buffer of state rows untouched
+        config = ScenarioConfig(scenario=scenario, alpha_ratio=0.5, visibility=0.95,
+                                trials=mc._BLOCK_TRIALS + 7, master_seed=8)
+        s = config.settings_per_party
+        _, coords, pool = mc._WORKSPACES[s]
+        untouched = pool[scratch:s * s + len(coords)]
+        assert len(untouched) == {"rim": 8, "rotm": 11}[scenario]
+        untouched.fill(np.nan)
+        (one,) = _evaluate_chunk(config, 0, config.trials)
+        assert np.isnan(untouched).all()
+        # with two states, the first writes its rows there
+        other = replace(config, alpha_ratio=1.0)
+        two = _evaluate_chunk(config, 0, config.trials, [config, other])
+        assert np.isfinite(untouched).all()
+        np.testing.assert_equal([vars(p) for p in two],
+                                [vars(one), vars(_evaluate_chunk(other, 0, other.trials)[0])])
+
 
 class TestScalingSanity:
     def test_doubling_trials_consistent(self):
@@ -1084,6 +1134,56 @@ class TestAbort:
                 run_experiment(config)
             assert info.value.completed_trials == mc.CHUNK_TRIALS
             assert info.value.trials == 3 * mc.CHUNK_TRIALS
+
+
+_POOL_STACK = ("multiprocessing", "concurrent.futures.process")
+
+
+def _pool_stack_loaded(code: str) -> list[str]:
+    """The modules of `_POOL_STACK` that a fresh interpreter holds after it
+    runs code, as the last line it prints."""
+    probe = (f"{code}\nimport sys\n"
+             f"print(*[m for m in {_POOL_STACK!r} if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(mc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.splitlines()[-1].split()
+
+
+class TestPoolStack:
+    # a pool's stack (multiprocessing, sockets, logging) costs a process
+    # about 20 ms and 1 MB; it loads only where a pool starts
+    RUN = ("from randbell import ScenarioConfig, run_experiment\n"
+           "run_experiment(ScenarioConfig(scenario='rim', trials={trials}, workers={workers}))")
+
+    @pytest.mark.parametrize("code", [
+        "import randbell",
+        RUN.format(trials=2 * mc.CHUNK_TRIALS + 7, workers=1),
+        RUN.format(trials=1000, workers=2),  # one chunk: no pool
+    ], ids=["import", "one-worker-run", "one-chunk-run"])
+    def test_no_pool_loads_no_pool_stack(self, code):
+        assert _pool_stack_loaded(code) == []
+
+    def test_one_worker_cli_run_loads_no_pool_stack(self, tmp_path):
+        argv = ["run", "--scenario", "rim", "--trials", "20000", "--workers", "1",
+                "--out-dir", str(tmp_path)]
+        code = f"from randbell.cli import main\nassert main({argv!r}) == 0"
+        assert _pool_stack_loaded(code) == []
+
+    def test_a_pool_loads_it(self):
+        code = self.RUN.format(trials=2 * mc.CHUNK_TRIALS, workers=2)
+        assert _pool_stack_loaded(code) == list(_POOL_STACK)
+
+    def test_pool_workers_ignore_sigint(self):
+        # an interrupt is the parent's to handle
+        pool = mc._process_pool(1)
+        try:
+            assert pool.submit(signal.getsignal, signal.SIGINT).result() == signal.SIG_IGN
+        finally:
+            pool.shutdown()
 
 
 def _interrupt_at(call):
