@@ -28,9 +28,10 @@ reused buffer, and the last writes them over the coordinate rows, which no
 later state reads, so a run writes no state row to that buffer.  Single
 trials and checks read fresh per-trial rows from the same block loop
 (`_trial_rows`).
-Chunks run in this process, or in a process pool for more than one worker
-and chunk; the pool stack (multiprocessing, sockets, logging) is imported
-only where a pool starts, so a run that starts none never loads it.
+Chunks run in this process, or, for more than one worker and chunk where
+`os.fork` exists, in workers forked straight from it, each sending its
+chunks' partials down its own pipe for the parent to read in grid order;
+no run loads a pool stack (multiprocessing, sockets, logging).
 
 The per-trial evaluation is vectorized over a block of a chunk's trials,
 the blocks taken in order so that a block's rows stay cache-resident, and
@@ -57,14 +58,14 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import platform
 import signal
 import time
-from collections import deque
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, partial
-from itertools import combinations, product, starmap
+from itertools import combinations, cycle, islice, product, starmap
 
 import numpy as np
 
@@ -637,27 +638,73 @@ def _chunk_partial(config: ScenarioConfig, lo: int, hi: int, states) -> list[_Pa
     return _evaluate_chunk(config, lo, hi, states)
 
 
-def _process_pool(workers: int):
-    """A process pool of `workers` processes that ignore SIGINT: an
-    interrupt is the parent's to handle; it cancels the pending chunks, and
-    the workers finish the running ones."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
-                               initargs=(signal.SIGINT, signal.SIG_IGN))
+class _BrokenPool(RuntimeError):
+    """A pool worker died before it sent all its chunks."""
 
 
-def _in_order(pool, fn, tasks, window: int):
-    """fn(*task) for each of `tasks`, in order, from the pool, with at most
-    `window` of them submitted and not yet taken; `Executor.map` submits
-    every task at once, which holds memory in proportion to their count."""
-    pending = deque()
-    for task in tasks:
-        pending.append(pool.submit(fn, *task))
-        if len(pending) == window:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+def _work(fd: int, others: list[int], tasks) -> None:
+    """A forked worker's life: it ignores SIGINT, since an interrupt is the
+    parent's to handle, closes the other workers' read ends, pickles each
+    task's partials, or the exception the task raised and its traceback,
+    to its pipe `fd`, and leaves by `os._exit`, which runs none of the
+    parent's cleanup."""
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        for other in others:
+            os.close(other)
+        with open(fd, "wb") as pipe:
+            for task in tasks:
+                try:
+                    result = _chunk_partial(*task)
+                except Exception as exc:
+                    import traceback
+
+                    result = exc, traceback.format_exc()
+                pickle.dump(result, pipe)
+                pipe.flush()
+                if isinstance(result, tuple):
+                    break
+    finally:
+        os._exit(0)
+
+
+def _receive(pipe):
+    """The next chunk's partials from a worker's pipe; the exception its
+    chunk raised is raised here, caused by the worker's traceback."""
+    try:
+        result = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError) as exc:
+        raise _BrokenPool("A process in the process pool was terminated abruptly") from exc
+    if isinstance(result, tuple):
+        exc, trace = result
+        raise exc from RuntimeError(f"in a pool worker:\n{trace}")
+    return result
+
+
+def _reap(pid: int) -> None:
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+
+
+def _forked(tasks, workers: int, stack: ExitStack):
+    """Each task's partials, in order, from `workers` processes forked from
+    this one: worker w runs tasks w, w + workers, ... and the parent reads
+    the workers' pipes in turn.  A worker blocks once its pipe is full, so
+    it runs at most a chunk or two ahead of the merge.  `stack` kills and
+    reaps every worker when it closes.  Forked, not spawned, a worker starts
+    at once with this process's modules as they are, any function replaced
+    in them included."""
+    pipes = []
+    for w in range(workers):
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            _work(write, [read, *(pipe.fileno() for pipe in pipes)],
+                  islice(tasks, w, None, workers))
+        os.close(write)
+        stack.callback(_reap, pid)
+        pipes.append(stack.enter_context(open(read, "rb")))
+    return map(_receive, cycle(pipes))
 
 
 def _collect_chunks(config: ScenarioConfig, progress=None, states=None):
@@ -666,15 +713,16 @@ def _collect_chunks(config: ScenarioConfig, progress=None, states=None):
 
     `states` share config's trial streams and differ from it in alpha_ratio
     and visibility only.  Chunks are consumed in grid order, in this process
-    for one worker or one chunk and otherwise from a process pool of no more
-    workers than chunks, which holds at most 4 chunks per worker submitted
-    and not yet taken.  Each state's partial is merged as it arrives into
-    that state's total, which starts as the empty partial, so peak memory is
-    one total per state plus the chunks in flight, whatever the trial count.
-    Progress and abort counts are trials times states.  A trial error in any
-    state, a dead worker process or an interrupt aborts the whole run with
-    the count of trials completed, in order, before it; any exception
-    cancels the pending chunks.
+    for one worker or one chunk, or where `os.fork` is missing, and
+    otherwise from workers forked from this process, no more than the
+    chunks, each sending its chunks' partials down its own pipe.  Each
+    state's partial is merged as it arrives into that state's total, which
+    starts as the empty partial, so peak memory is one total per state plus
+    the chunks in flight, whatever the trial count.  Progress and abort
+    counts are trials times states.  A trial error in any state, a dead
+    worker process or an interrupt aborts the whole run with the count of
+    trials completed, in order, before it.  Every worker is killed and
+    reaped before this returns or raises.
     """
     states = states or (config,)
     total = len(states) * config.trials
@@ -682,21 +730,14 @@ def _collect_chunks(config: ScenarioConfig, progress=None, states=None):
     done = 0
     # the totals' I counts may outgrow a chunk's int32
     totals = [_Partial.empty(config, np.int64) for _ in states]
-    aborting = (NumericalConsistencyError,)
+    tasks = ((config, lo, hi, states) for lo, hi in _chunk_grid(config.trials))
+    workers = min(config.workers, -(-config.trials // CHUNK_TRIALS))
     try:
         with ExitStack() as stack:
-            tasks = ((config, lo, hi, states) for lo, hi in _chunk_grid(config.trials))
-            parts = starmap(_chunk_partial, tasks)
-            # a pool starts all its workers at its first task: no more than the chunks
-            workers = min(config.workers, -(-config.trials // CHUNK_TRIALS))
-            if workers > 1:
-                # the pool stack is imported here, so a run without a pool never loads it
-                from concurrent.futures.process import BrokenProcessPool
-
-                aborting += (BrokenProcessPool,)  # a dead worker
-                pool = _process_pool(workers)
-                stack.callback(pool.shutdown, cancel_futures=True)
-                parts = _in_order(pool, _chunk_partial, tasks, 4 * workers)
+            if workers > 1 and hasattr(os, "fork"):
+                parts = _forked(tasks, workers, stack)
+            else:
+                parts = starmap(_chunk_partial, tasks)
             for _, hi in _chunk_grid(config.trials):
                 # taken inside the merge, so no name holds a chunk's partials
                 # while the next one is made
@@ -704,7 +745,7 @@ def _collect_chunks(config: ScenarioConfig, progress=None, states=None):
                 done = len(states) * hi
                 if progress is not None:
                     progress(done, total, time.perf_counter() - started)
-    except aborting as exc:
+    except (NumericalConsistencyError, _BrokenPool) as exc:
         raise ExperimentAborted(str(exc), completed_trials=done, trials=total) from exc
     except KeyboardInterrupt as exc:
         raise ExperimentAborted("interrupted", completed_trials=done, trials=total) from exc
@@ -794,6 +835,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _platform() -> str:
+    """System, release, machine and C library, as in
+    Linux-6.1.0-x86_64-with-glibc2.36: on Linux the string of
+    `platform.platform()` but for its processor field, which it looks up by
+    running `uname -p` and which is blank there or repeats the machine."""
+    libc = "".join(platform.libc_ver())
+    return "-".join(filter(None, [platform.system(), platform.release(), platform.machine(),
+                                  libc and "with-" + libc]))
+
+
 def _manifest(config: ScenarioConfig) -> dict:
     """What ran a result: software versions, platform and chunk grid."""
     from . import __version__  # the package sets it after importing this module
@@ -802,7 +853,7 @@ def _manifest(config: ScenarioConfig) -> dict:
         "randbell": __version__,
         "numpy": np.__version__,
         "python": platform.python_version(),
-        "platform": platform.platform(),
+        "platform": _platform(),
         "usable_cpus": _usable_cpus(),
         "chunk_trials": CHUNK_TRIALS,
         "workers": config.workers,

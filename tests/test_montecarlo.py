@@ -10,7 +10,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from concurrent.futures import Future
 from dataclasses import fields, replace
 
 import numpy as np
@@ -710,33 +709,24 @@ class TestWorkerIndependence:
         assert (got.i_top, got.eta_min, got.eta_max) == (i_max.max(), eta.min(), eta.max())
 
     def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
-        # a fork pool starts all its workers at its first submit, so a run
-        # asks for no more than its chunks; a fake pool records the ask and
-        # runs each task inline, starting no process
-        asked = []
+        # each worker is forked before the first chunk is read, so a run
+        # forks no more workers than its chunks, and none over one chunk
+        forks = []
+        fork = os.fork
 
-        class InlinePool:
-            def __init__(self, max_workers, **_):
-                asked.append(max_workers)
+        def counting_fork():
+            forks.append(None)
+            return fork()
 
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-            def shutdown(self, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(mc, "_process_pool", InlinePool)
+        monkeypatch.setattr(os, "fork", counting_fork)
         config = ScenarioConfig(scenario="rom", alpha_ratio=0.7, trials=2 * mc.CHUNK_TRIALS + 7,
-                                master_seed=12, workers=64)
+                                master_seed=12, workers=4)
         wide = run_experiment(config)
-        assert asked == [3]
+        assert len(forks) == 3
         _assert_same_tables(wide, run_experiment(replace(config, workers=1)))
-        assert wide.summary["config"]["workers"] == wide.summary["manifest"]["workers"] == 64
-        # over one chunk no pool is made
+        assert wide.summary["config"]["workers"] == wide.summary["manifest"]["workers"] == 4
         run_experiment(replace(config, trials=mc.CHUNK_TRIALS))
-        assert asked == [3]
+        assert len(forks) == 3
 
     def test_chunk_grid_fixed(self):
         grid = list(mc._chunk_grid(200_000))
@@ -823,8 +813,9 @@ class TestPartials:
         assert peak(8) - peak(2) < 1 << 20
 
     def test_pool_parent_memory_does_not_grow_with_the_chunk_count(self):
-        # stopped after its first chunk, a pool run holds a few chunks
-        # submitted, not one task per chunk of the grid
+        # stopped after its first chunk, a pool run holds at most the
+        # chunks its workers have made ahead of the merge, not one task per
+        # chunk of the grid
         def peak(chunks):
             config = ScenarioConfig(scenario="rim", trials=chunks * mc.CHUNK_TRIALS, workers=2)
             tracemalloc.start()
@@ -1136,7 +1127,8 @@ class TestAbort:
             assert info.value.trials == 3 * mc.CHUNK_TRIALS
 
 
-_POOL_STACK = ("multiprocessing", "concurrent.futures.process")
+# a process pool's stack (multiprocessing, sockets, logging) and subprocess
+_POOL_STACK = ("multiprocessing", "concurrent.futures", "subprocess")
 
 
 def _pool_stack_loaded(code: str) -> list[str]:
@@ -1153,9 +1145,17 @@ def _pool_stack_loaded(code: str) -> list[str]:
     return res.stdout.splitlines()[-1].split()
 
 
+def _cli_run(out_dir, workers: int) -> str:
+    """Code that runs the command line over two chunks."""
+    argv = ["run", "--scenario", "rim", "--trials", str(2 * mc.CHUNK_TRIALS),
+            "--workers", str(workers), "--out-dir", str(out_dir)]
+    return f"from randbell.cli import main\nassert main({argv!r}) == 0"
+
+
 class TestPoolStack:
-    # a pool's stack (multiprocessing, sockets, logging) costs a process
-    # about 20 ms and 1 MB; it loads only where a pool starts
+    # importing the stack takes a process about 15 ms and 0.9 MB; pool
+    # workers are forked directly and the manifest runs no command, so no
+    # run loads any of it
     RUN = ("from randbell import ScenarioConfig, run_experiment\n"
            "run_experiment(ScenarioConfig(scenario='rim', trials={trials}, workers={workers}))")
 
@@ -1163,27 +1163,84 @@ class TestPoolStack:
         "import randbell",
         RUN.format(trials=2 * mc.CHUNK_TRIALS + 7, workers=1),
         RUN.format(trials=1000, workers=2),  # one chunk: no pool
-    ], ids=["import", "one-worker-run", "one-chunk-run"])
+        RUN.format(trials=2 * mc.CHUNK_TRIALS, workers=2),
+    ], ids=["import", "one-worker-run", "one-chunk-run", "pool-run"])
     def test_no_pool_loads_no_pool_stack(self, code):
         assert _pool_stack_loaded(code) == []
 
     def test_one_worker_cli_run_loads_no_pool_stack(self, tmp_path):
-        argv = ["run", "--scenario", "rim", "--trials", "20000", "--workers", "1",
-                "--out-dir", str(tmp_path)]
-        code = f"from randbell.cli import main\nassert main({argv!r}) == 0"
-        assert _pool_stack_loaded(code) == []
+        assert _pool_stack_loaded(_cli_run(tmp_path, 1)) == []
 
-    def test_a_pool_loads_it(self):
-        code = self.RUN.format(trials=2 * mc.CHUNK_TRIALS, workers=2)
-        assert _pool_stack_loaded(code) == list(_POOL_STACK)
+    def test_two_worker_cli_run_loads_no_pool_stack(self, tmp_path):
+        assert _pool_stack_loaded(_cli_run(tmp_path, 2)) == []
 
-    def test_pool_workers_ignore_sigint(self):
-        # an interrupt is the parent's to handle
-        pool = mc._process_pool(1)
-        try:
-            assert pool.submit(signal.getsignal, signal.SIGINT).result() == signal.SIG_IGN
-        finally:
-            pool.shutdown()
+    def test_pool_workers_ignore_sigint(self, monkeypatch):
+        # an interrupt is the parent's to handle; each worker reports the
+        # SIGINT handler it runs under as its chunk's error
+        def report(config, lo, hi, states=None):
+            raise NumericalConsistencyError(f"SIGINT {signal.getsignal(signal.SIGINT)!r}")
+
+        monkeypatch.setattr(mc, "_evaluate_chunk", report)
+        with pytest.raises(ExperimentAborted) as info:
+            run_experiment(ScenarioConfig(scenario="rim", trials=2 * mc.CHUNK_TRIALS, workers=2))
+        assert str(info.value) == f"SIGINT {signal.SIG_IGN!r}"
+        assert signal.getsignal(signal.SIGINT) != signal.SIG_IGN
+
+
+def _fail_in_worker(monkeypatch, fail):
+    """Patch `_evaluate_chunk` to call fail() on the second chunk, in a pool
+    worker only."""
+    original, parent = mc._evaluate_chunk, os.getpid()
+
+    def failing(config, lo, hi, states=None):
+        if lo == mc.CHUNK_TRIALS and os.getpid() != parent:
+            fail()
+        return original(config, lo, hi, states)
+
+    monkeypatch.setattr(mc, "_evaluate_chunk", failing)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _inject_failure():
+    raise NumericalConsistencyError("injected failure")
+
+
+class TestPoolReaping:
+    # every worker is killed and reaped before the chunk loop returns or
+    # raises, so no run leaves a child process behind
+    CONFIG = ScenarioConfig(scenario="rim", trials=3 * mc.CHUNK_TRIALS, workers=2)
+
+    def _aborted(self, progress=None) -> ExperimentAborted:
+        """The run's abort, once no child is left."""
+        with pytest.raises(ExperimentAborted) as info:
+            run_experiment(self.CONFIG, progress)
+        assert info.value.completed_trials == mc.CHUNK_TRIALS
+        _assert_no_child_left()
+        return info.value
+
+    def test_normal_end(self):
+        run_experiment(self.CONFIG)
+        _assert_no_child_left()
+
+    def test_trial_error(self, monkeypatch):
+        _fail_in_worker(monkeypatch, _inject_failure)
+        aborted = self._aborted()
+        assert str(aborted) == "injected failure"
+        # the worker's traceback comes back as the cause
+        remote = str(aborted.__cause__.__cause__)
+        assert remote.startswith("in a pool worker:\nTraceback")
+        assert "in _inject_failure" in remote
+
+    def test_dead_worker(self, monkeypatch):
+        _fail_in_worker(monkeypatch, lambda: os._exit(1))
+        assert str(self._aborted()) == "A process in the process pool was terminated abruptly"
+
+    def test_interrupt(self):
+        assert str(self._aborted(_interrupt_at(1)[0])) == "interrupted"
 
 
 def _interrupt_at(call):
