@@ -2,7 +2,8 @@
 
 The base functional over a 2-setting/2-outcome probability table is
 
-    I = p(00|00) + p(00|01) + p(00|10) - p(00|11) - p_A(0|0) - p_B(0|0)
+    I = J - N_A - N_B,  J = p(00|00) + p(00|01) + p(00|10) - p(00|11),
+                        N_A = p_A(0|0),  N_B = p_B(0|0),
 
 with the local-hidden-variable bound I <= 0 and quantum maximum
 1/sqrt(2) - 1/2 (Tsirelson).  Relabeling parties, settings, and outcomes
@@ -12,13 +13,11 @@ party each form also embeds a choice of two of the three settings.
 With the same detection efficiency eta on every detector the inequality
 extends (Eberhard) to
 
-    I(eta) = eta^2 I - eta(1 - eta) (p_A(0|0) + p_B(0|0)) <= 0,
+    I(eta) = eta^2 I - eta(1 - eta) N <= 0,  N = N_A + N_B,
 
-which crosses zero at the required efficiency
-
-    eta_req = (p_A(0|0) + p_B(0|0)) / (p(00|00) + p(00|01) + p(00|10) - p(00|11)),
-
-all entries taken from the relabeled table of the form under test.
+which crosses zero at the required efficiency eta_req = N / J.  All of
+these read the triple (J, N_A, N_B) of the relabeled table of the form
+under test, which `_form_parts` alone computes.
 """
 
 from __future__ import annotations
@@ -189,18 +188,19 @@ def apply_form(table: ProbabilityTable, form: CHForm) -> ProbabilityTable:
     return ProbabilityTable(new_joint, new_marg_a, new_marg_b)
 
 
-def _ch_identity(table: ProbabilityTable) -> float:
-    j = table.joint
-    return float(
-        j[0, 0, 0, 0] + j[0, 0, 0, 1] + j[0, 0, 1, 0] - j[0, 0, 1, 1]
-        - table.marg_a[0, 0] - table.marg_b[0, 0]
-    )
+def _form_parts(table: ProbabilityTable, form: CHForm) -> tuple[float, float, float]:
+    """(J, N_A, N_B) of the form's inequality on this table: the module
+    docstring's terms, read from the relabeled table."""
+    relabeled = apply_form(table, form)
+    j = relabeled.joint
+    return (float(j[0, 0, 0, 0] + j[0, 0, 0, 1] + j[0, 0, 1, 0] - j[0, 0, 1, 1]),
+            float(relabeled.marg_a[0, 0]), float(relabeled.marg_b[0, 0]))
 
 
 def ch_value(table: ProbabilityTable, form: CHForm) -> float:
-    """Value of the form's inequality: relabel the table, evaluate the base
-    functional on the relabeled entries."""
-    return _ch_identity(apply_form(table, form))
+    """Value I = J - N_A - N_B of the form's inequality."""
+    joint, n_a, n_b = _form_parts(table, form)
+    return joint - n_a - n_b
 
 
 # ---------------------------------------------------------------------------
@@ -318,32 +318,29 @@ def form_coefficients(forms: list[CHForm], settings_per_party: int):
 
 
 def eta_req(table: ProbabilityTable, form: CHForm) -> float:
-    """Required detection efficiency of the form's inequality on this table."""
-    relabeled = apply_form(table, form)
-    j = relabeled.joint
-    numer = relabeled.marg_a[0, 0] + relabeled.marg_b[0, 0]
-    denom = float(j[0, 0, 0, 0] + j[0, 0, 0, 1] + j[0, 0, 1, 0] - j[0, 0, 1, 1])
-    value = denom - numer
+    """Required detection efficiency N / J of the form's inequality on this
+    table; NoViolationError unless its I, as `ch_value` has it, is > 0."""
+    joint, n_a, n_b = _form_parts(table, form)
+    value = joint - n_a - n_b
     if value <= 0.0:
         raise NoViolationError(f"inequality not violated (I = {value!r})")
-    if denom <= 0.0:
-        raise NoViolationError(f"non-positive denominator {denom!r}")
-    return float(numer / denom)
+    if joint <= 0.0:
+        raise NoViolationError(f"non-positive denominator {joint!r}")
+    return (n_a + n_b) / joint
 
 
 def efficiency_corrected_value(table: ProbabilityTable, form: CHForm, eta: float) -> float:
-    """Value of the detection-efficiency-corrected inequality at efficiency eta.
+    """Value eta^2 I - eta(1 - eta) N of the detection-efficiency-corrected
+    inequality at efficiency eta.
 
     The one-sided detection terms are the functional evaluated with the
     undetected party's joint and marginal entries set to zero, which leaves
-    -p_A(0|0) and -p_B(0|0); the zero-detection term vanishes.
+    -N_A and -N_B; the zero-detection term vanishes.
     """
     if not (0.0 <= eta <= 1.0):
         raise ValueError(f"eta must be in [0, 1], got {eta!r}")
-    relabeled = apply_form(table, form)
-    i2 = _ch_identity(relabeled)
-    i1 = -(relabeled.marg_a[0, 0] + relabeled.marg_b[0, 0])
-    return eta * eta * i2 + eta * (1.0 - eta) * i1
+    joint, n_a, n_b = _form_parts(table, form)
+    return eta * eta * (joint - n_a - n_b) + eta * (1.0 - eta) * -(n_a + n_b)
 
 
 def max_violation(table: ProbabilityTable, forms: list[CHForm],

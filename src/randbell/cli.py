@@ -280,7 +280,7 @@ def cmd_verify(args) -> int:
         (merged,) = _collect_chunks(config)
         i_top = max(i_top, merged.i_top)
         eta_floor = min(eta_floor, merged.eta_min)
-    cap = 0.2071068 + 1e-9
+    cap = chsh.TSIRELSON_BOUND + 1e-12
     ok &= _check("Tsirelson cap", i_top <= cap,
                  f"max I over {total} random trials = {i_top:.9f} (cap {cap:.9f})")
     floor = 2.0 / 3.0 - 1e-9

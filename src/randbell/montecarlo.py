@@ -8,12 +8,12 @@ parallel: each one is a pure function of (config, trial index), and workers
 own disjoint chunks of a fixed chunk grid.  Each chunk reduces its
 violating trials to a partial of fixed size (one array of integer counts of
 eta_req up to each threshold, which the histogram, the curve and the named
-etas read as slices; the violating count; the eta_req range and the largest
-I; the float sum of I; integer counts of I on a fixed grid, which bound the
-median), and the partials are merged in chunk order.  Integer counts add
-exactly and the float sum is taken in block order, so results are
-bit-identical for any worker count, and a run's memory does not grow with
-its trial count.
+etas read as slices; the eta_req range and the largest I; the float sum of
+I; integer counts of I on a fixed grid, which bound the median and sum to
+the violating count), and the partials are merged in chunk order.  Integer
+counts add exactly and the float sum is taken in block order, so results
+are bit-identical for any worker count, and a run's memory does not grow
+with its trial count.
 
 Runs and sweeps take one chunk loop over a set of states that share the
 trial streams of one master seed (common random numbers).  Each block's
@@ -155,7 +155,7 @@ class ScenarioConfig:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         NoisyState.from_ratio(self.alpha_ratio, self.visibility)  # ValueError if it cannot be made
-        for name in ("trials", "histogram_bins", "workers"):
+        for name in ("trials", "histogram_bins", "workers", "master_seed"):
             object.__setattr__(self, name, _whole(name, getattr(self, name)))
         if self.trials <= 0:
             raise ValueError("trials must be positive")
@@ -174,7 +174,8 @@ class ScenarioConfig:
             raise ValueError(f"selection_policy must be 'max-i' or 'min-eta', got {self.selection_policy!r}")
         if self.workers <= 0:
             raise ValueError("workers must be positive")
-        object.__setattr__(self, "master_seed", int(self.master_seed) & _MASK64)
+        # the generator's keys are taken mod 2**64
+        object.__setattr__(self, "master_seed", self.master_seed & _MASK64)
 
     @property
     def state(self) -> NoisyState:
@@ -237,13 +238,13 @@ class _Partial:
     Its size is fixed by the config, not by the trials it covers.  The
     counts are cumulative (trials with eta_req at most each of
     `_thresholds`) or per bin (I), so adding and merging are exact integer
-    additions; the float sum of I is added in block order.  The defaults
-    are those of no trials.
+    additions; the float sum of I is added in block order.  Each violating
+    I lands in one bin, so `i_counts.sum()` is the violating count.  The
+    defaults are those of no trials.
     """
 
     at_most: np.ndarray  # eta_req <= each of `_thresholds`
     i_counts: np.ndarray  # I per bin of width 1 / _I_SCALE; int32 per chunk, int64 merged
-    violating: int = 0
     i_sum: float = 0.0
     i_top: float = -math.inf  # the largest I
     eta_min: float = math.inf
@@ -256,8 +257,8 @@ class _Partial:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of its counts and of its five scalars, 8 each."""
-        return self.at_most.nbytes + self.i_counts.nbytes + 5 * 8
+        """Bytes of its counts and of its four scalars, 8 each."""
+        return self.at_most.nbytes + self.i_counts.nbytes + 4 * 8
 
     def add_block(self, i_max: np.ndarray, eta: np.ndarray, thresholds: np.ndarray,
                   spare: np.ndarray) -> None:
@@ -274,7 +275,6 @@ class _Partial:
         i_max = i_max.take(columns, out=spare[0, :n], mode="clip")
         eta = eta.take(columns, out=spare[1, :n], mode="clip")
         eta.sort()
-        self.violating += n
         self.at_most += eta.searchsorted(thresholds, "right")
         self.i_sum += float(i_max.sum())
         self.i_top = max(self.i_top, float(i_max.max()))
@@ -288,7 +288,6 @@ class _Partial:
 
     def merge(self, other: "_Partial") -> "_Partial":
         """Add `other`, the partial of later chunks, into this one."""
-        self.violating += other.violating
         self.at_most += other.at_most
         self.i_counts += other.i_counts
         self.i_sum += other.i_sum
@@ -633,11 +632,6 @@ def _thresholds(config: ScenarioConfig) -> np.ndarray:
                            config.eta_grid_points(), NAMED_ETAS])
 
 
-def _chunk_partial(config: ScenarioConfig, lo: int, hi: int, states) -> list[_Partial]:
-    """The pool's task: `_evaluate_chunk`, looked up when it runs."""
-    return _evaluate_chunk(config, lo, hi, states)
-
-
 class _BrokenPool(RuntimeError):
     """A pool worker died before it sent all its chunks."""
 
@@ -655,7 +649,7 @@ def _work(fd: int, others: list[int], tasks) -> None:
         with open(fd, "wb") as pipe:
             for task in tasks:
                 try:
-                    result = _chunk_partial(*task)
+                    result = _evaluate_chunk(*task)
                 except Exception as exc:
                     import traceback
 
@@ -712,17 +706,19 @@ def _collect_chunks(config: ScenarioConfig, progress=None, states=None):
     default config alone.
 
     `states` share config's trial streams and differ from it in alpha_ratio
-    and visibility only.  Chunks are consumed in grid order, in this process
-    for one worker or one chunk, or where `os.fork` is missing, and
-    otherwise from workers forked from this process, no more than the
-    chunks, each sending its chunks' partials down its own pipe.  Each
-    state's partial is merged as it arrives into that state's total, which
-    starts as the empty partial, so peak memory is one total per state plus
-    the chunks in flight, whatever the trial count.  Progress and abort
-    counts are trials times states.  A trial error in any state, a dead
-    worker process or an interrupt aborts the whole run with the count of
-    trials completed, in order, before it.  Every worker is killed and
-    reaped before this returns or raises.
+    and visibility only.  Each chunk is a call of `_evaluate_chunk` through
+    this module's global, so a replacement made before the run reaches the
+    workers too.  Chunks are consumed in grid order, in this process for one
+    worker or one chunk, or where `os.fork` is missing, and otherwise from
+    workers forked from this process, no more than the chunks, each sending
+    its chunks' partials down its own pipe.  Each state's partial is merged
+    as it arrives into that state's total, which starts as the empty
+    partial, so peak memory is one total per state plus the chunks in
+    flight, whatever the trial count.  Progress and abort counts are trials
+    times states.  A trial error in any state, a dead worker process or an
+    interrupt aborts the whole run with the count of trials completed, in
+    order, before it.  Every worker is killed and reaped before this returns
+    or raises.
     """
     states = states or (config,)
     total = len(states) * config.trials
@@ -737,7 +733,7 @@ def _collect_chunks(config: ScenarioConfig, progress=None, states=None):
             if workers > 1 and hasattr(os, "fork"):
                 parts = _forked(tasks, workers, stack)
             else:
-                parts = starmap(_chunk_partial, tasks)
+                parts = starmap(_evaluate_chunk, tasks)
             for _, hi in _chunk_grid(config.trials):
                 # taken inside the merge, so no name holds a chunk's partials
                 # while the next one is made
@@ -758,10 +754,11 @@ def _median_estimate(total: _Partial):
     The exact median is the middle value, or the mean of the two middle
     values, of the sorted I.  Both lie in the span from the lower edge of
     the first's bin to the upper edge of the second's (or the largest I,
-    if less), so its midpoint is within half the span of the median.
+    if less), so its midpoint is within half the span of the median.  The
+    cumulative I counts find both bins and end at the violating count.
     """
-    n = total.violating
     cum = np.cumsum(total.i_counts)
+    n = int(cum[-1])
     first, second = cum.searchsorted([(n + 1) // 2, n // 2 + 1]).tolist()
     low = first / _I_SCALE
     high = min((second + 1) / _I_SCALE if second + 1 < _I_BINS else math.inf,
@@ -779,7 +776,7 @@ def _results(configs, progress) -> list[ExperimentResult]:
 
 def _result(config: ScenarioConfig, total: _Partial, started: float) -> ExperimentResult:
     """The histogram, curve and summary of config's merged partial."""
-    n_viol = total.violating
+    n_viol = int(total.i_counts.sum())
 
     if n_viol and (total.eta_min < 0.6 or total.eta_max >= 1.0):
         raise NumericalConsistencyError("required efficiency outside [0.6, 1)")

@@ -177,6 +177,8 @@ class TestScenarioConfig:
         {"scenario": "rim", "histogram_bins": 10**10},
         {"scenario": "rim", "eta_grid": (0.6, 1.0, 1e-12)},
         {"scenario": "rim", "eta_grid": (0.6, 1.0, 5e-324)},
+        {"scenario": "rim", "master_seed": 1.5},
+        {"scenario": "rim", "master_seed": "7"},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -184,9 +186,13 @@ class TestScenarioConfig:
 
     def test_whole_numbers_of_any_type(self):
         config = ScenarioConfig(scenario="rim", trials=4e6, histogram_bins=np.int64(50),
-                                workers=2.0)
-        assert (config.trials, config.histogram_bins, config.workers) == (4_000_000, 50, 2)
-        assert all(type(v) is int for v in (config.trials, config.histogram_bins, config.workers))
+                                workers=2.0, master_seed=7.0)
+        fields = (config.trials, config.histogram_bins, config.workers, config.master_seed)
+        assert fields == (4_000_000, 50, 2, 7)
+        assert all(type(v) is int for v in fields)
+        # seeds are taken mod 2**64, negative and large ones too
+        for seed, key in ((np.int64(-1), 2**64 - 1), (-(2**64) - 3, 2**64 - 3), (2**64 + 5, 5)):
+            assert ScenarioConfig(scenario="rim", master_seed=seed).master_seed == key
 
     def test_points_up_to_the_cap(self):
         # every histogram edge and curve point is a threshold each chunk
@@ -693,7 +699,7 @@ class TestWorkerIndependence:
         violated = i_max > 0.0
         i_max, eta = i_max[violated], eta[violated]
         (got,) = mc._collect_chunks(config)
-        assert got.violating == violated.sum() > 0
+        assert got.i_counts.sum() == violated.sum() > 0
         edges = np.linspace(0.6, 1.0, config.histogram_bins + 1)
         below_edges, at_points = np.split(got.at_most, [len(edges)])
         np.testing.assert_array_equal(np.diff(below_edges), np.histogram(eta, bins=edges)[0])
@@ -703,7 +709,7 @@ class TestWorkerIndependence:
         i_edges = np.arange(mc._I_BINS + 1) / mc._I_SCALE
         np.testing.assert_array_equal(got.i_counts, np.histogram(i_max, bins=i_edges)[0])
         # a chunk sends its I counts as int32, and the merged total widens them
-        assert mc._chunk_partial(config, 0, mc.CHUNK_TRIALS, (config,))[0].i_counts.dtype == np.int32
+        assert mc._evaluate_chunk(config, 0, mc.CHUNK_TRIALS, (config,))[0].i_counts.dtype == np.int32
         assert got.i_counts.dtype == np.int64
         assert got.i_sum == sum(chunk_sums)
         assert (got.i_top, got.eta_min, got.eta_max) == (i_max.max(), eta.min(), eta.max())
@@ -727,6 +733,25 @@ class TestWorkerIndependence:
         assert wide.summary["config"]["workers"] == wide.summary["manifest"]["workers"] == 4
         run_experiment(replace(config, trials=mc.CHUNK_TRIALS))
         assert len(forks) == 3
+
+    def test_run_where_fork_is_missing_stays_in_process(self, monkeypatch):
+        # without os.fork a 4-worker run over 3 chunks runs every chunk in
+        # this process, leaves no child and makes the 1-worker run's tables
+        config = ScenarioConfig(scenario="rom", alpha_ratio=0.7, trials=2 * mc.CHUNK_TRIALS + 7,
+                                master_seed=12, workers=4)
+        serial = run_experiment(replace(config, workers=1))
+        original, pids = mc._evaluate_chunk, []
+
+        def recording(config, lo, hi, states=None):
+            pids.append(os.getpid())
+            return original(config, lo, hi, states)
+
+        monkeypatch.setattr(mc, "_evaluate_chunk", recording)
+        monkeypatch.delattr(os, "fork")
+        wide = run_experiment(config)
+        assert pids == [os.getpid()] * 3
+        _assert_no_child_left()
+        _assert_same_tables(wide, serial)
 
     def test_chunk_grid_fixed(self):
         grid = list(mc._chunk_grid(200_000))
@@ -755,16 +780,16 @@ class TestPartials:
         w = 1.0 / mc._I_SCALE
         counts = np.zeros(mc._I_BINS, dtype=np.intp)
         counts[[3, 7]] = 1
-        total = mc._Partial(violating=2, at_most=None, i_counts=counts,
-                            i_sum=0.0, i_top=7.5 * w, eta_min=0.7, eta_max=0.8)
+        total = mc._Partial(at_most=None, i_counts=counts, i_sum=0.0, i_top=7.5 * w,
+                            eta_min=0.7, eta_max=0.8)
         # the middle values lie in [3w, 4w) and [7w, 7.5w]
         assert mc._median_estimate(total) == (5.25 * w, 2.25 * w)
 
     @pytest.mark.parametrize("eta_min,eta_max", [(0.7, 1.0), (np.nextafter(0.6, 0), 0.8)])
     def test_result_refuses_eta_req_outside_its_range(self, eta_min, eta_max):
         config = ScenarioConfig(scenario="rim")
-        total = replace(mc._Partial.empty(config, np.int64), violating=1, eta_min=eta_min,
-                        eta_max=eta_max)
+        total = replace(mc._Partial.empty(config, np.int64), eta_min=eta_min, eta_max=eta_max)
+        total.i_counts[0] = 1  # one violating trial
         with pytest.raises(NumericalConsistencyError,
                            match=r"^required efficiency outside \[0\.6, 1\)$"):
             mc._result(config, total, 0.0)
@@ -786,7 +811,7 @@ class TestPartials:
         part.add_block(i_max, eta, mc._thresholds(config), np.empty((3, len(eta))))
         violated = i_max > 0.0
         i_max, eta = i_max[violated], eta[violated]
-        assert part.violating == len(eta) == 17
+        assert part.i_counts.sum() == len(eta) == 17
         below_edges, at_points = np.split(part.at_most, [len(edges)])
         assert below_edges[0] == 0
         np.testing.assert_array_equal(np.diff(below_edges), np.histogram(eta, bins=edges)[0])
@@ -844,18 +869,18 @@ class TestPartials:
         # partial, of a size fixed by the config, and a block's temporaries
         config = ScenarioConfig(scenario="rotm", alpha_ratio=0.5, visibility=0.95, master_seed=3)
         mc._form_tables(3)
-        mc._chunk_partial(config, 0, mc.CHUNK_TRIALS, (config,))
+        mc._evaluate_chunk(config, 0, mc.CHUNK_TRIALS, (config,))
         tracemalloc.start()
         try:
-            (part,) = mc._chunk_partial(config, 0, mc.CHUNK_TRIALS, (config,))
+            (part,) = mc._evaluate_chunk(config, 0, mc.CHUNK_TRIALS, (config,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert part.violating > 0.9 * mc.CHUNK_TRIALS
+        assert part.i_counts.sum() > 0.9 * mc.CHUNK_TRIALS
         assert peak < 1 << 20
-        (few,) = mc._chunk_partial(config, 0, 100, (config,))
+        (few,) = mc._evaluate_chunk(config, 0, 100, (config,))
         arrays = (part.at_most, part.i_counts)
-        assert part.nbytes == few.nbytes == sum(a.nbytes for a in arrays) + 5 * 8
+        assert part.nbytes == few.nbytes == sum(a.nbytes for a in arrays) + 4 * 8
 
     def test_chunk_memory_grows_little_per_state(self):
         # a chunk keeps a partial per state, not a row of its trials nor
@@ -867,12 +892,12 @@ class TestPartials:
         def peak(states):
             tracemalloc.start()
             try:
-                mc._chunk_partial(base, 0, mc.CHUNK_TRIALS, states)
+                mc._evaluate_chunk(base, 0, mc.CHUNK_TRIALS, states)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        mc._chunk_partial(base, 0, mc.CHUNK_TRIALS, (base,))
+        mc._evaluate_chunk(base, 0, mc.CHUNK_TRIALS, (base,))
         assert (peak(many) - peak((base,))) / (len(many) - 1) < 128 << 10
 
     def test_chunk_loop_holds_one_chunk_partial_per_state(self):
@@ -891,7 +916,7 @@ class TestPartials:
             finally:
                 tracemalloc.stop()
 
-        mc._chunk_partial(base, 0, mc.CHUNK_TRIALS, (base,))
+        mc._evaluate_chunk(base, 0, mc.CHUNK_TRIALS, (base,))
         assert (peak(many) - peak((base,))) / (len(many) - 1) < 240 << 10
 
 
@@ -917,12 +942,12 @@ class TestWorkspace:
             points = np.concatenate([base.eta_grid_points(), mc.NAMED_ETAS])
             for lo, hi in mc._chunk_grid(base.trials):
                 # each block's reduction against numpy's on the chunk's trial rows
-                partials = mc._chunk_partial(base, lo, hi, states)
+                partials = mc._evaluate_chunk(base, lo, hi, states)
                 for got, i_max, eta in zip(partials, *_trial_rows(base, lo, hi, states)):
                     i_sum = _block_sum(i_max)
                     violated = i_max > 0.0
                     i_max, eta = i_max[violated], np.sort(eta[violated])
-                    assert got.violating == len(eta)
+                    assert got.i_counts.sum() == len(eta)
                     below_edges, at_points = np.split(got.at_most, [len(edges)])
                     np.testing.assert_array_equal(np.diff(below_edges),
                                                   np.histogram(eta, bins=edges)[0])
