@@ -17,17 +17,17 @@ with its trial count.
 
 Runs and sweeps take one chunk loop over a set of states that share the
 trial streams of one master seed (common random numbers).  Each block's
-uniforms, coordinate rows and products z_a z_b are made once, each state
-turns them into its own correlator and marginal rows and winners, and each
-chunk returns a partial per state.  A run is the one-state set, so a
-sweep's result for a state equals a run on that state.  Every block writes
-into one workspace of block-sized rows per process (`_workspace`) and is
-added into each state's partial as it ends, so a chunk allocates no
-per-trial row; every state but the block's last writes its rows to one
-reused buffer, and the last writes them over the coordinate rows, which no
-later state reads, so a run writes no state row to that buffer.  Single
-trials and checks read fresh per-trial rows from the same block loop
-(`_trial_rows`).
+uniforms are drawn once and mapped once to its coordinate rows and
+products z_a z_b, each state turns these into its own correlator and
+marginal rows and winners, and each chunk returns a partial per state.  A
+run is the one-state set, so a sweep's result for a state equals a run on
+that state.  Every block writes into one workspace of block-sized rows per
+process (`_workspace`) and is added into each state's partial as it ends,
+so a chunk allocates no per-trial row; every state but the block's last
+writes its rows to one reused buffer, and the last writes them over the
+coordinate rows, which no later state reads, so a run writes no state row
+to that buffer.  Single trials and checks read fresh per-trial rows from
+the same block loop (`_trial_rows`).
 Chunks run in this process, or, for more than one worker and chunk where
 `os.fork` exists, in workers forked straight from it, each sending its
 chunks' partials down its own pipe for the parent to read in grid order;
@@ -361,20 +361,21 @@ def _workspace(settings_per_party: int):
     its rows anew or faults them in: (uniforms, coordinate rows, pool),
     views of one array.
 
-    The (B, 8) uniforms live until the settings map has read them, and
-    their memory then holds the form stage's `_FORM_ROWS` rows, the first
-    three of them then a state's violating values.  The pool's rows are the
-    map's scratch, and then the products z_a z_b and the rows of every
-    state but a block's last, which writes its rows over the coordinate
-    rows; in all 1,900,544 B at two settings and 3,080,192 B at three.  A
-    page is resident only once written, so a one-state run holds the rows
-    it touches: 20 for RIM, 36 for ROTM, and all 29 for ROM, whose map's
-    scratch spans the state rows' buffer.  A shorter block takes views of
-    the first columns.  One block loop at a time may use them.
+    The (B, 8) uniforms live until the settings map has read them; the map
+    then spends the first rows of their memory, which then holds the form
+    stage's `_FORM_ROWS` rows, the first three of them then a state's
+    violating values.  The pool's first s*s rows hold the products z_a z_b,
+    and its other rows those of every state but a block's last, which
+    writes its rows over the coordinate rows.  The map needs no other
+    rows, so in all that is 1,835,008 B at two settings and 3,080,192 B at
+    three.  A page is resident only once written, so a one-state run holds
+    the rows it touches: 20 for RIM and ROM and 32 for ROTM.  A shorter
+    block takes views of the first columns.  One block loop at a time may
+    use them.
     """
     s = settings_per_party
     coords = s * s + 2 * s
-    pool = max(sampling.SCRATCH_ROWS, s * s + coords)
+    pool = s * s + coords
     rows = np.empty((8 + coords + pool, _BLOCK_TRIALS))
     return rows[:8].reshape(_BLOCK_TRIALS, 8), rows[8:8 + coords], rows[8 + coords:]
 
@@ -407,8 +408,8 @@ def _block_winners(config: ScenarioConfig, lo: int, hi: int, states):
     has spent.  The rows are the workspace's, overwritten by the next state
     or block.
 
-    Each block of `_BLOCK_TRIALS` is drawn and mapped to coordinate rows
-    once, with the products z_a z_b, and each state writes its correlator
+    Each block of `_BLOCK_TRIALS` is drawn and mapped once to coordinate
+    rows and the products z_a z_b, and each state writes its correlator
     and marginal rows from them and runs the forms on them: every state but
     the last into the pool, the last, whose rows no later state reads, over
     the coordinate rows.  Every step is elementwise per trial and the
@@ -421,13 +422,11 @@ def _block_winners(config: ScenarioConfig, lo: int, hi: int, states):
     for start in range(lo, hi, _BLOCK_TRIALS):
         n = min(_BLOCK_TRIALS, hi - start)
         u = sampling.uniform_block(config.master_seed, start, start + n, out=uniforms[:n])
-        rows = _SETTINGS_FROM_UNIFORMS[config.scenario](u, out=coords[:, :n],
-                                                        scratch=pool[:, :n])
-        # the uniforms and the map's scratch are spent
+        z_products, own = pool[:s * s, :n], pool[s * s:, :n]
+        # the map may spend u's memory once it has read u
+        rows = _SETTINGS_FROM_UNIFORMS[config.scenario](
+            u, out=coords[:, :n], spare=u.reshape(8, n), products=z_products)
         form_rows = uniforms.reshape(8, _BLOCK_TRIALS)[:, :n]
-        z_products, own = pool[:s * s, :n], pool[s * s:s * s + len(rows), :n]
-        z_a, z_b = rows[s * s:s * s + s], rows[s * s + s:]
-        np.multiply(z_a[:, None], z_b[None], out=z_products.reshape(s, s, n))
         for k, state in enumerate(noisy):
             # the last state writes over the coordinate rows: no later state reads them
             state_rows = _state_rows(state, s, rows, z_products,

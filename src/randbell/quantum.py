@@ -19,7 +19,8 @@ Two evaluation routes are provided and cross-checked in the test suite:
   a_x b_x + a_y b_y, the only numbers of a direction pair the state below
   sees.  The Monte Carlo kernel's hot path takes `doubled_correlator` and
   `marginal_outcome0` on the coordinate rows of `sampling.rim_coordinates` /
-  `triad_coordinates`, the products z_a z_b formed once for every state;
+  `triad_coordinates` and on the products z_a z_b those maps write,
+  formed once for every state;
   `joint_outcome00` is the closed-form p(0,0) its tests check against.
 """
 

@@ -170,48 +170,53 @@ def _rotation_from_quaternion_uniforms(u4: np.ndarray) -> np.ndarray:
 # a_x b_x + a_y b_y of each pair (a of A's, b of B's).  Layout for s settings
 # per party, one column per trial: row x*s + y holds the in-plane product of
 # A's x-th and B's y-th direction, then s rows hold A's z-components and s
-# rows B's.  The uniform columns are the draw order of one trial's stream:
-# party A first, then party B.
+# rows B's.  A map may also write the products z_a z_b, one row per pair in
+# the same order.  The uniform columns are the draw order of one trial's
+# stream: party A first, then party B.
 # ---------------------------------------------------------------------------
 
-# Rows of scratch the coordinate maps take at most: two quaternions, their
-# conjugate product and one temporary.
-SCRATCH_ROWS = 13
-
-
-def rim_coordinates(u: np.ndarray, out=None, scratch=None) -> np.ndarray:
+def rim_coordinates(u: np.ndarray, out=None, spare=None, products=None) -> np.ndarray:
     """u: (B, 8) as (uA0, vA0, uA1, vA1, uB0, vB0, uB1, vB1) -> (8, B) rows
-    of `direction_from_angles`' directions, written to `out` if given;
-    `scratch`, if given, lends its first 4 rows.
+    of `direction_from_angles`' directions, written to `out` if given, and
+    z_a[k] z_b[l] to row 2k + l of `products` if given.  `spare`'s first 4
+    rows, if given, take r once u is read, so they may be u's own memory.
 
     With z = 1 - 2v and r = sqrt(1 - z^2), the in-plane product of two
     directions is r_a * r_b * cos(2*pi*(u_a - u_b)).
     """
     ut = u.T
     rows = np.empty((8, len(u))) if out is None else out
-    r = np.empty((4, len(u))) if scratch is None else scratch[:4]
-    z = rows[4:]
+    inplane, z = rows[:4].reshape(2, 2, -1), rows[4:]
+    np.subtract(ut[0:4:2, None], ut[None, 4:8:2], out=inplane)
+    inplane *= 2.0 * np.pi
+    np.cos(inplane, out=inplane)
     np.multiply(ut[1::2], -2.0, out=z)
     z += 1.0
+    # u is read
+    r = np.empty((4, len(u))) if spare is None else spare[:4]
     # |z| <= 1, so z*z rounds to at most 1 and the root is real
     np.multiply(z, z, out=r)
     np.subtract(1.0, r, out=r)
     np.sqrt(r, out=r)
-    inplane = rows[:4].reshape(2, 2, -1)
-    np.subtract(ut[0:4:2, None], ut[None, 4:8:2], out=inplane)
-    inplane *= 2.0 * np.pi
-    np.cos(inplane, out=inplane)
     inplane *= r[:2, None]
     inplane *= r[None, 2:]
+    if products is not None:
+        np.multiply(z[:2, None], z[None, 2:], out=products.reshape(2, 2, -1))
     return rows
 
 
-def triad_coordinates(u: np.ndarray, settings: int, out=None, scratch=None) -> np.ndarray:
+def triad_coordinates(u: np.ndarray, settings: int, out=None, spare=None,
+                      products=None) -> np.ndarray:
     """u: (B, 8), four quaternion uniforms per party -> (s*s + 2*s, B) rows
     of the first s = `settings` axes of each party's Haar-random triad, the
     columns of `_rotation_from_quaternion_uniforms` on the same uniforms;
-    written to `out` if given, with `scratch`'s `SCRATCH_ROWS` rows, if
-    given, for the quaternions and temporaries.
+    written to `out` if given, and z_a[k] z_b[l] to row k*s + l of
+    `products` if given.  `spare`'s first 5 rows, if given, take the
+    quaternions' conjugate product and a temporary once u is read, so they
+    may be u's own memory.  The map takes no other rows: while it reads u,
+    A's quaternion sits in the first in-plane rows, B's in the first
+    product rows and their temporary in A's first z row, each of which it
+    writes only once it is done with what it held.
 
     A's axes are R(q_A) e_k and B's R(q_B) e_l, so their z-components are
     the third rows of R(q_A) and R(q_B), and their dot products are the
@@ -221,22 +226,26 @@ def triad_coordinates(u: np.ndarray, settings: int, out=None, scratch=None) -> n
     axes, bit for bit.
     """
     ut = u.T
-    s = settings
-    rows = np.empty((s * s + 2 * s, len(u))) if out is None else out
-    if scratch is None:
-        scratch = np.empty((SCRATCH_ROWS, len(u)))
-    q_a, q_b, relative, tmp = scratch[0:4], scratch[4:8], scratch[8:12], scratch[12]
-    _unit_quaternions(ut[0:4], q_a, tmp)
-    _unit_quaternions(ut[4:8], q_b, tmp)
+    s, n = settings, len(u)
+    rows = np.empty((s * s + 2 * s, n)) if out is None else out
+    z_ab = np.empty((s * s, n)) if products is None else products
     z_a, z_b = rows[s * s:s * s + s], rows[s * s + s:]
+    q_a, q_b = rows[0:4], z_ab[0:4]
+    _unit_quaternions(ut[0:4], q_a, z_a[0])
+    _unit_quaternions(ut[4:8], q_b, z_a[0])
+    # u is read
+    spare = np.empty((5, n)) if spare is None else spare
+    relative, tmp = spare[:4], spare[4]
     for k in range(s):
         _rotation_entry(q_a, 2, k, z_a[k], tmp)
         _rotation_entry(q_b, 2, k, z_b[k], tmp)
     _conjugate_product(q_a, q_b, relative, tmp)
+    # the quaternions are spent
     for k in range(s):
         for l in range(s):
+            product = np.multiply(z_a[k], z_b[l], out=z_ab[k * s + l])
             row = _rotation_entry(relative, k, l, rows[k * s + l], tmp)
-            row -= np.multiply(z_a[k], z_b[l], out=tmp)
+            row -= product
     return rows
 
 

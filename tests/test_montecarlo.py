@@ -35,7 +35,7 @@ from randbell import (
 from randbell.chsh import form_coefficients
 from randbell.cli import _exact_settings
 from randbell.montecarlo import ExperimentAborted, _evaluate_chunk, _trial_rows
-from randbell.sampling import SCRATCH_ROWS, RandomSource, uniform_block
+from randbell.sampling import RandomSource, uniform_block
 
 
 def _exact_trial(config, trial_index):
@@ -983,19 +983,20 @@ class TestWorkspace:
         for a in (first.at_most, first.i_counts):
             assert not any(np.shares_memory(a, b) for b in (second.at_most, second.i_counts))
 
-    # the map's scratch spans the pool's first rows: RIM's r, ROTM's
-    # quaternions; ROM's spans the whole state-row buffer
-    @pytest.mark.parametrize("scenario,scratch", [("rim", 4), ("rotm", SCRATCH_ROWS)])
+    # the map writes no pool row but the products z_a z_b, the first s*s:
+    # the triad map keeps its quaternions in rows it writes last and its
+    # conjugate product in the uniforms' memory
+    @pytest.mark.parametrize("scenario,state_rows", [("rim", 8), ("rom", 8), ("rotm", 15)])
     def test_only_a_block_with_more_states_writes_the_state_row_buffer(self, scenario,
-                                                                      scratch):
+                                                                      state_rows):
         # a block's last state writes its rows over the coordinate rows, so
         # a one-state chunk leaves the buffer of state rows untouched
         config = ScenarioConfig(scenario=scenario, alpha_ratio=0.5, visibility=0.95,
                                 trials=mc._BLOCK_TRIALS + 7, master_seed=8)
         s = config.settings_per_party
         _, coords, pool = mc._WORKSPACES[s]
-        untouched = pool[scratch:s * s + len(coords)]
-        assert len(untouched) == {"rim": 8, "rotm": 11}[scenario]
+        untouched = pool[s * s:]
+        assert len(untouched) == len(coords) == state_rows
         untouched.fill(np.nan)
         (one,) = _evaluate_chunk(config, 0, config.trials)
         assert np.isnan(untouched).all()
@@ -1005,6 +1006,23 @@ class TestWorkspace:
         assert np.isfinite(untouched).all()
         np.testing.assert_equal([vars(p) for p in two],
                                 [vars(one), vars(_evaluate_chunk(other, 0, other.trials)[0])])
+
+    @pytest.mark.parametrize("scenario", mc.SCENARIOS)
+    def test_the_map_writes_the_z_products(self, scenario):
+        # in the kernel's call, a short block's too, product row k*s + l
+        # is z_a[k] z_b[l] of the map's rows, bit for bit, and the rows
+        # are those of a call given no buffers
+        s = 3 if scenario == "rotm" else 2
+        uniforms, coords, pool = mc._workspace(s)
+        for n in (mc._BLOCK_TRIALS, 1000):
+            u = uniform_block(6, 0, n, out=uniforms[:n])
+            want = mc._SETTINGS_FROM_UNIFORMS[scenario](u.copy())
+            rows = mc._SETTINGS_FROM_UNIFORMS[scenario](
+                u, out=coords[:, :n], spare=u.reshape(8, n), products=pool[:s * s, :n])
+            np.testing.assert_array_equal(rows, want)
+            z_a, z_b = rows[s * s:s * s + s], rows[s * s + s:]
+            for k, l in itertools.product(range(s), repeat=2):
+                np.testing.assert_array_equal(pool[k * s + l, :n], z_a[k] * z_b[l])
 
 
 class TestScalingSanity:

@@ -300,6 +300,16 @@ class TestReproducibility:
             np.testing.assert_array_equal(settings(uniform_block(11, 0, 500)),
                                           settings(uniform_block(11, 0, 500)))
 
+    @pytest.mark.parametrize("settings", [rim_coordinates, lambda u: triad_coordinates(u, 2),
+                                          lambda u: triad_coordinates(u, 3)],
+                             ids=["rim", "rom", "rotm"])
+    def test_map_given_no_spare_rows_leaves_u_as_it_is(self, settings):
+        # only a caller that lends u's memory as spare rows has it spent
+        u = uniform_block(7, 0, 1000)
+        before = u.copy()
+        settings(u)
+        np.testing.assert_array_equal(u, before)
+
     def test_rows_independent_of_batch_split(self):
         u_all = uniform_block(42, 0, 100)
         u_tail = uniform_block(42, 50, 100)
