@@ -94,8 +94,8 @@ def _tables(result: ExperimentResult) -> dict:
 
 
 def _emit_result(result: ExperimentResult, tables: dict, out_dir: str, fmt: str) -> None:
-    """Write result's `_tables` in fmt, then its summary."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write result's `_tables` in fmt into the existing out_dir, then its
+    summary."""
     config = _table_config(result.config)
     if fmt in ("csv", "both"):
         line = "# config: " + json.dumps(config, sort_keys=True)
@@ -168,6 +168,8 @@ def _config_from_args(args, alpha_ratio: float) -> ScenarioConfig:
 
 def cmd_run(args) -> int:
     config = _config_from_args(args, args.alpha_ratio)
+    # made before the run, so a bad --out-dir fails before any trial
+    os.makedirs(args.out_dir, exist_ok=True)
     with _progress_printer() as progress:
         result = run_experiment(config, progress=progress)
     _emit_result(result, _tables(result), args.out_dir, args.format)
@@ -178,9 +180,13 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     ratios = _parse_ratios(args.alpha_ratios)
     configs = [_config_from_args(args, value) for _, value in ratios]
+    subs = [os.path.join(args.out_dir, f"{args.scenario}_ratio_{token}")
+            for token, _ in ratios]
+    # made before the sweep, so a bad --out-dir fails before any trial
+    for sub in subs:
+        os.makedirs(sub, exist_ok=True)
     with _progress_printer() as progress:
         results = sweep(configs, progress=progress)
-    os.makedirs(args.out_dir, exist_ok=True)
 
     # the entries' table config, with the list of ratios in place of one
     doc = _table_config(results[0].config)
@@ -188,8 +194,7 @@ def cmd_sweep(args) -> int:
     doc["alpha_ratios"] = [v for _, v in ratios]
     combined = []
     summaries = []
-    for (token, _value), result in zip(ratios, results):
-        sub = os.path.join(args.out_dir, f"{args.scenario}_ratio_{token}")
+    for sub, result in zip(subs, results):
         tables = _tables(result)
         _emit_result(result, tables, sub, args.format)
         summaries.append(result.summary)

@@ -19,10 +19,15 @@ The scalar samplers build these directions one trial at a time, as the
 oracle.  The Monte Carlo kernel never builds them: `rim_coordinates` and
 `triad_coordinates` map a block of uniforms straight to the numbers its
 Born probabilities need (see the layout below).
+
+`numpy.random` is imported at a process's first draw, not at import, and
+without the `secrets` module (see `_numpy_random`): every stream here is
+keyed, so no process needs the OS entropy numpy would seed from.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,10 +59,49 @@ def uniform_block(master_seed: int, lo: int, hi: int, out=None) -> np.ndarray:
     Row i is exactly the stream RandomSource(master_seed, lo + i) draws from,
     for 0 <= lo <= hi <= 2**64: RandomSource reduces an index mod 2**64.
     """
-    # np.random is reached here rather than at import: processes that never
-    # draw (the pool parent) stay smaller and start faster.
-    bits = np.random.Philox(key=master_seed & _MASK64, counter=2 * lo)
-    return np.random.Generator(bits).random((hi - lo, _DRAWS), out=out)
+    # imported here rather than at import: processes that never draw (the
+    # pool parent) stay smaller and start faster
+    nprandom = _numpy_random()
+    bits = nprandom.Philox(key=master_seed & _MASK64, counter=2 * lo)
+    return nprandom.Generator(bits).random((hi - lo, _DRAWS), out=out)
+
+
+def _numpy_random():
+    """numpy.random, imported without `secrets` if neither is loaded yet.
+
+    numpy.random's bit_generator imports `secrets.randbits` to seed the
+    generators made without a seed, and `secrets` imports hmac, hashlib and
+    OpenSSL's _hashlib, about 3.6 MB of a drawing process's peak RSS.
+    randbell never draws unseeded: its Philox streams are keyed by the
+    master seed.  So while the first draw imports numpy.random, a stand-in
+    from `_secrets_stand_in` sits in sys.modules as `secrets`; it is taken
+    out once the import ends, so a later `import secrets` gets the real
+    module.  randbell starts no thread, so nothing else can import `secrets`
+    in that window.  A numpy that wants more of `secrets` than the stand-in
+    has fails to import under it and is imported again as it is.
+    """
+    if "numpy.random" not in sys.modules and "secrets" not in sys.modules:
+        stand_in = sys.modules["secrets"] = _secrets_stand_in()
+        try:
+            import numpy.random
+        except ImportError:
+            pass  # imported again below, with the real `secrets`
+        finally:
+            if sys.modules.get("secrets") is stand_in:
+                del sys.modules["secrets"]
+    import numpy.random
+    return numpy.random
+
+
+def _secrets_stand_in():
+    """A `secrets` module whose only attribute is randbits, defined as the
+    standard library's secrets.py defines it."""
+    import random
+    import types
+
+    stand_in = types.ModuleType("secrets")
+    stand_in.randbits = random.SystemRandom().getrandbits
+    return stand_in
 
 
 @dataclass

@@ -185,7 +185,8 @@ class TestRun:
         assert captured.err == (f"aborted after {states * mc.CHUNK_TRIALS} of "
                                 f"{states * trials} trials: interrupted\n")
         assert captured.out == ""
-        assert list(tmp_path.iterdir()) == []
+        # no files: the output directories, made before the run, stay empty
+        assert all(p.is_dir() and not any(p.iterdir()) for p in tmp_path.iterdir())
 
     @pytest.mark.parametrize("case", [
         ["--scenario", "rim"],
@@ -359,6 +360,22 @@ class TestIOFailure:
         err = capsys.readouterr().err
         assert "I/O failure: [Errno 17] File exists" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,ratio_flag,work", [
+        ("run", "--alpha-ratio", "run_experiment"),
+        ("sweep", "--alpha-ratios", "sweep"),
+    ])
+    def test_bad_out_dir_fails_before_any_trial(self, tmp_path, monkeypatch, capsys,
+                                                command, ratio_flag, work):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, work, no_work)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert _run([command, "--scenario", "rim", ratio_flag, "0.5", "--workers", "1",
+                     "--out-dir", str(blocker / "x")]) == 3
+        assert "I/O failure: [Errno 20] Not a directory" in capsys.readouterr().err
 
 
 class TestVerify:

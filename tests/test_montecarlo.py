@@ -1172,20 +1172,25 @@ class TestAbort:
 
 # a process pool's stack (multiprocessing, sockets, logging) and subprocess
 _POOL_STACK = ("multiprocessing", "concurrent.futures", "subprocess")
+# what the standard library's `secrets` loads, OpenSSL's bindings among them
+_CRYPTO = ("secrets", "hmac", "hashlib", "_hashlib")
 
 
-def _pool_stack_loaded(code: str) -> list[str]:
-    """The modules of `_POOL_STACK` that a fresh interpreter holds after it
-    runs code, as the last line it prints."""
-    probe = (f"{code}\nimport sys\n"
-             f"print(*[m for m in {_POOL_STACK!r} if m in sys.modules])")
+def _fresh(code: str) -> str:
+    """The last line a fresh interpreter prints after it runs code."""
     src = os.path.dirname(os.path.dirname(mc.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=300)
     assert res.returncode == 0, res.stderr
-    return res.stdout.splitlines()[-1].split()
+    return res.stdout.splitlines()[-1]
+
+
+def _loaded(code: str, modules: tuple[str, ...]) -> list[str]:
+    """Those of modules that a fresh interpreter holds after it runs code."""
+    return _fresh(f"{code}\nimport sys\n"
+                  f"print(*[m for m in {modules!r} if m in sys.modules])").split()
 
 
 def _cli_run(out_dir, workers: int) -> str:
@@ -1209,13 +1214,13 @@ class TestPoolStack:
         RUN.format(trials=2 * mc.CHUNK_TRIALS, workers=2),
     ], ids=["import", "one-worker-run", "one-chunk-run", "pool-run"])
     def test_no_pool_loads_no_pool_stack(self, code):
-        assert _pool_stack_loaded(code) == []
+        assert _loaded(code, _POOL_STACK) == []
 
     def test_one_worker_cli_run_loads_no_pool_stack(self, tmp_path):
-        assert _pool_stack_loaded(_cli_run(tmp_path, 1)) == []
+        assert _loaded(_cli_run(tmp_path, 1), _POOL_STACK) == []
 
     def test_two_worker_cli_run_loads_no_pool_stack(self, tmp_path):
-        assert _pool_stack_loaded(_cli_run(tmp_path, 2)) == []
+        assert _loaded(_cli_run(tmp_path, 2), _POOL_STACK) == []
 
     def test_pool_workers_ignore_sigint(self, monkeypatch):
         # an interrupt is the parent's to handle; each worker reports the
@@ -1228,6 +1233,67 @@ class TestPoolStack:
             run_experiment(ScenarioConfig(scenario="rim", trials=2 * mc.CHUNK_TRIALS, workers=2))
         assert str(info.value) == f"SIGINT {signal.SIG_IGN!r}"
         assert signal.getsignal(signal.SIGINT) != signal.SIG_IGN
+
+
+class TestDrawImports:
+    # a drawing process imports numpy.random without `secrets`, about 3.6 MB
+    # of its peak RSS; these run in fresh interpreters, because this one
+    # already holds numpy.random
+    FIRST_DRAW = "from randbell.sampling import uniform_block\nuniform_block(0, 0, 2)"
+
+    def test_one_worker_cli_run_loads_no_crypto(self, tmp_path):
+        assert _loaded(_cli_run(tmp_path, 1), _CRYPTO) == []
+
+    def test_scalar_draw_loads_no_crypto(self):
+        code = "from randbell.sampling import RandomSource\nRandomSource(0, 0).uniform(8)"
+        assert _loaded(code, _CRYPTO) == []
+
+    def test_pool_workers_load_no_crypto(self):
+        # each worker runs its chunk, then reports the crypto modules it
+        # holds as the chunk's error
+        code = f"""
+import sys
+import randbell.montecarlo as mc
+from randbell import NumericalConsistencyError, ScenarioConfig, run_experiment
+evaluate = mc._evaluate_chunk
+
+def report(*args):
+    evaluate(*args)
+    loaded = [m for m in {_CRYPTO!r} if m in sys.modules]
+    raise NumericalConsistencyError(f"crypto modules {{loaded}}")
+
+mc._evaluate_chunk = report
+try:
+    run_experiment(ScenarioConfig(scenario="rim", trials={2 * mc.CHUNK_TRIALS}, workers=2))
+except mc.ExperimentAborted as exc:
+    print(exc)
+"""
+        assert _fresh(code) == "crypto modules []"
+
+    def test_later_import_gets_the_real_modules(self):
+        code = f"""{self.FIRST_DRAW}
+import os, secrets, numpy.random
+entropy = numpy.random.SeedSequence().entropy
+print(os.path.basename(secrets.__file__), len(secrets.token_bytes(4)),
+      type(entropy) is int and 0 <= entropy < 2**128)
+"""
+        assert _fresh(code).split() == ["secrets.py", "4", "True"]
+
+    def test_secrets_imported_before_is_kept(self):
+        code = f"import secrets, sys\n{self.FIRST_DRAW}\nprint(sys.modules['secrets'] is secrets)"
+        assert _fresh(code) == "True"
+
+    def test_stand_in_numpy_rejects_is_dropped(self):
+        # a numpy that wants more of `secrets` than randbits is imported
+        # again with the real module, and draws the same streams
+        code = f"""
+import os, sys, types
+import randbell.sampling as sampling
+sampling._secrets_stand_in = lambda: types.ModuleType("secrets")
+print(sampling.uniform_block(0, 0, 2).tolist() == {uniform_block(0, 0, 2).tolist()!r},
+      os.path.basename(sys.modules["secrets"].__file__))
+"""
+        assert _fresh(code).split() == ["True", "secrets.py"]
 
 
 def _fail_in_worker(monkeypatch, fail):
